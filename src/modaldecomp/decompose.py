@@ -5,10 +5,16 @@ the full multimodal input and caches what the linearization needs: the
 output-to-input chord ratio of every activation and softmax layer, and the
 input statistics of every LayerNorm/InstanceNorm. The second pass pushes a
 stack of components (one per modality plus a trailing bias component)
-through the frozen linear surrogate of each layer. At every layer the
-components sum to the recorded activation; constants and linearization
-residue accumulate in the bias component, or are redistributed across
-components by the configured splitting rules.
+through the frozen linear surrogate of each layer.
+
+Every element-wise layer freezes into one rule (see _frozen_rule): a
+homogeneous linear map applied to each component, a recorded constant, and
+a routing that sends the constant to the bias component ('identity') or
+spreads it over all components ('uniform'). Fusion and structural layers
+(concatenation, residual add, bilinear matmul) act on the stack directly.
+At every layer the components sum to the recorded activation; the activation
+splitting rule (act_rule) may further re-route activation bias mass between
+the two modalities.
 """
 
 from __future__ import annotations
@@ -19,13 +25,14 @@ import numpy as np
 
 from .model import (
     LayerSpec,
-    ModelError,
     ModelGraph,
     channel_shape,
-    dense_apply,
     eval_layer,
     forward,
     matmul_pair,
+    norm_affine,
+    norm_axes,
+    norm_stats,
 )
 from .tensor import as_tensor, conv2d
 
@@ -61,6 +68,7 @@ _LN_RULES = ("ratio", "identity", "uniform")
 _ACT_RULES = ("none", "sum", "ratio")
 
 _ACTIVATION_KINDS = ("ReLU", "GELU", "Softmax")
+_STRUCTURAL_KINDS = ("Input", "ConcatFusion", "ResidualAdd", "MatMul")
 
 
 class DecompositionError(RuntimeError):
@@ -95,11 +103,6 @@ class SplitConfig:
             raise ValueError(f"act_rule must be one of {_ACT_RULES}, got '{self.act_rule}'")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def ln_stats(self) -> str:
-        """'live-mean' for the ratio rule, 'bn-like' for stored statistics."""
-        return "live-mean" if self.ln_rule == "ratio" else "bn-like"
 
     def label(self) -> str:
         s = f"{self.bn_rule}-{self.ln_rule}"
@@ -217,17 +220,9 @@ def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | 
             pre = acts[layer.inputs[0]]
             c, r = _chord_ratio(pre, acts[layer.id], cfg.epsilon)
             caches[layer.id] = {"ratio": c, "residual": r}
-        elif layer.kind == "LayerNorm":
+        elif layer.kind in ("LayerNorm", "InstanceNorm"):
             pre = acts[layer.inputs[0]]
-            axes = tuple(layer.params["axes"])
-            mean = pre.mean(axis=axes, keepdims=True)
-            var = ((pre - mean) ** 2).mean(axis=axes, keepdims=True)
-            caches[layer.id] = {"mean": mean, "var": var}
-        elif layer.kind == "InstanceNorm":
-            pre = acts[layer.inputs[0]]
-            axes = tuple(range(1, pre.ndim))
-            mean = pre.mean(axis=axes, keepdims=True)
-            var = ((pre - mean) ** 2).mean(axis=axes, keepdims=True)
+            mean, var = norm_stats(pre, norm_axes(layer, pre.ndim))
             caches[layer.id] = {"mean": mean, "var": var}
     return RecordedState(acts, caches, cfg.epsilon)
 
@@ -243,21 +238,98 @@ def split_input(x: np.ndarray, modality: int, num_modalities: int) -> Decomposed
     return DecomposedTensor(parts)
 
 
+def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig | None, nd: int):
+    """The frozen surrogate of a single-input layer on rank-nd activations.
+
+    Returns (map, const, routing). map is the homogeneous linear map on an
+    (S, ...) component stack, const the recorded constant, and routing
+    ('identity' or 'uniform') says whether const goes to the bias component
+    or is spread equally over all of them.
+    """
+    kind, p = layer.kind, layer.params
+    if kind == "Dense":
+        w = p["weight"]
+
+        def dense(s):
+            out = np.matmul(w, s.reshape(s.shape[0], s.shape[1], -1))
+            return out.reshape((s.shape[0], w.shape[0]) + s.shape[2:])
+
+        return dense, channel_shape(p["bias"], nd), "identity"
+    if kind == "Conv2d":
+        zero = np.zeros_like(p["bias"])
+
+        def conv(s):
+            return np.stack([conv2d(x, p["weight"], zero, p["stride"], p["padding"]) for x in s])
+
+        return conv, channel_shape(p["bias"], nd), "identity"
+    if kind in _ACTIVATION_KINDS:
+        cache = state.caches[layer.id]
+        return (lambda s: s * cache["ratio"]), cache["residual"], "identity"
+    if kind == "BatchNorm":
+        scale = channel_shape(p["gamma"] / np.sqrt(p["var"] + p["eps"]), nd)
+        const = channel_shape(p["beta"], nd) - channel_shape(p["mean"], nd) * scale
+        return (lambda s: s * scale), const, cfg.bn_rule
+    if kind in ("LayerNorm", "InstanceNorm"):
+        cache = state.caches[layer.id]
+        gamma, beta = norm_affine(layer, nd)
+        scale = gamma / np.sqrt(cache["var"] + p["eps"])
+        if cfg.ln_rule == "ratio":
+            # live mean: every component is centered by its own mean
+            axes = tuple(ax + 1 for ax in norm_axes(layer, nd))
+            return (lambda s: (s - s.mean(axis=axes, keepdims=True)) * scale), beta, "identity"
+        return (lambda s: s * scale), beta - cache["mean"] * scale, cfg.ln_rule
+    raise ValueError(f"no frozen single-input rule for kind '{kind}'")
+
+
+def _push(
+    layer: LayerSpec,
+    d: DecomposedTensor,
+    state: RecordedState | None,
+    cfg: SplitConfig | None,
+) -> DecomposedTensor:
+    """Apply the frozen map to every component and route the constant."""
+    fmap, const, routing = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
+    out = fmap(d.parts)
+    if routing == "identity":
+        out[-1] += const
+    else:
+        out += const / out.shape[0]
+    return DecomposedTensor(out)
+
+
 def lin_affine(layer: LayerSpec, d: DecomposedTensor) -> DecomposedTensor:
     """Dense/Conv2d: weights act on every component, the layer constant on bias."""
-    p = layer.params
-    if layer.kind == "Dense":
-        out = np.stack([dense_apply(p["weight"], part) for part in d.parts])
-        out[-1] += channel_shape(p["bias"], out.ndim - 1)
-    elif layer.kind == "Conv2d":
-        zero = np.zeros_like(p["bias"])
-        out = np.stack(
-            [conv2d(part, p["weight"], zero, p["stride"], p["padding"]) for part in d.parts]
-        )
-        out[-1] += p["bias"][:, None, None]
-    else:
-        raise ValueError(f"lin_affine cannot handle kind '{layer.kind}'")
-    return DecomposedTensor(out)
+    return _push(layer, d, None, None)
+
+
+def lin_batchnorm(layer: LayerSpec, d: DecomposedTensor, cfg: SplitConfig) -> DecomposedTensor:
+    """BatchNorm: frozen scale on every component, constant routed by bn_rule."""
+    return _push(layer, d, None, cfg)
+
+
+def lin_layernorm(
+    layer: LayerSpec,
+    d: DecomposedTensor,
+    state: RecordedState,
+    cfg: SplitConfig,
+) -> DecomposedTensor:
+    """LayerNorm with frozen variance and the mean chosen by ln_rule."""
+    return _push(layer, d, state, cfg)
+
+
+def lin_instancenorm(
+    layer: LayerSpec,
+    d: DecomposedTensor,
+    state: RecordedState,
+    cfg: SplitConfig,
+) -> DecomposedTensor:
+    """InstanceNorm: the LayerNorm rule over spatial axes, per-channel affine."""
+    return _push(layer, d, state, cfg)
+
+
+def lin_softmax(layer: LayerSpec, d: DecomposedTensor, state: RecordedState) -> DecomposedTensor:
+    """Softmax linearized like an activation (recorded chord ratios); no act_rule."""
+    return _push(layer, d, state, None)
 
 
 def lin_concat(ds: list[DecomposedTensor], axis: int) -> DecomposedTensor:
@@ -269,12 +341,6 @@ def lin_residual_add(a: DecomposedTensor, b: DecomposedTensor) -> DecomposedTens
     if a.parts.shape != b.parts.shape:
         raise ValueError(f"residual shape mismatch: {a.parts.shape} vs {b.parts.shape}")
     return DecomposedTensor(a.parts + b.parts)
-
-
-def _scaled_with_residual(d: DecomposedTensor, c, r) -> np.ndarray:
-    out = d.parts * c
-    out[-1] += r
-    return out
 
 
 def lin_activation(
@@ -291,15 +357,14 @@ def lin_activation(
     split between the two modalities in proportion to their magnitudes. Both
     leave the bias entry exactly zero where they fire.
     """
-    cache = state.caches[layer.id]
-    c, r = cache["ratio"], cache["residual"]
     if cfg.act_rule == "none":
-        return DecomposedTensor(_scaled_with_residual(d, c, r))
+        return _push(layer, d, state, cfg)
     if d.num_modalities != 2:
         raise ValueError(
             f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, "
             f"got {d.num_modalities}"
         )
+    fmap, r, _ = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
     h0, h1, hb = d.parts[0], d.parts[1], d.parts[2]
     if cfg.act_rule == "sum":
         to0 = ((h0 > 0) & (h1 < 0) & (hb > 0)) | ((h0 < 0) & (h1 > 0) & (hb < 0))
@@ -314,87 +379,10 @@ def lin_activation(
         alpha = np.abs(h1) / (np.abs(h0) + np.abs(h1) + cfg.epsilon)
         share0 = np.where(same_sign, 1.0 - alpha, np.where(opp_sign, alpha, 0.0))
         share1 = np.where(same_sign, alpha, np.where(opp_sign, 1.0 - alpha, 0.0))
-    out0 = c * (h0 + share0 * hb) + share0 * r
-    out1 = c * (h1 + share1 * hb) + share1 * r
-    outb = np.where(fired, 0.0, c * hb + r)
+    out0 = fmap(h0 + share0 * hb) + share0 * r
+    out1 = fmap(h1 + share1 * hb) + share1 * r
+    outb = np.where(fired, 0.0, fmap(hb) + r)
     return DecomposedTensor(np.stack([out0, out1, outb]))
-
-
-def _delta_add(parts: np.ndarray, const: np.ndarray, rule: str) -> None:
-    # in place: route a layer constant per the delta scheme
-    if rule == "identity":
-        parts[-1] += const
-    else:  # uniform over all components including bias
-        parts += const / parts.shape[0]
-
-
-def lin_batchnorm(layer: LayerSpec, d: DecomposedTensor, cfg: SplitConfig) -> DecomposedTensor:
-    p = layer.params
-    nd = d.parts.ndim - 1
-    scale = channel_shape(p["gamma"] / np.sqrt(p["var"] + p["eps"]), nd)
-    const = channel_shape(p["beta"], nd) - channel_shape(p["mean"], nd) * scale
-    out = d.parts * scale
-    _delta_add(out, const, cfg.bn_rule)
-    return DecomposedTensor(out)
-
-
-def lin_layernorm(
-    layer: LayerSpec,
-    d: DecomposedTensor,
-    state: RecordedState,
-    cfg: SplitConfig,
-) -> DecomposedTensor:
-    """LayerNorm with frozen variance.
-
-    Ratio rule: every component is centered with its own mean over the
-    normalization axes; the affine shift goes to the bias component. The
-    bn-like variants reuse the recorded input mean like a BatchNorm constant
-    and honor the identity/uniform delta scheme.
-    """
-    p = layer.params
-    cache = state.caches[layer.id]
-    scale = p["gamma"] / np.sqrt(cache["var"] + p["eps"])
-    if cfg.ln_rule == "ratio":
-        axes = tuple(ax + 1 for ax in p["axes"])
-        centered = d.parts - d.parts.mean(axis=axes, keepdims=True)
-        out = centered * scale
-        out[-1] += p["beta"]
-        return DecomposedTensor(out)
-    out = d.parts * scale
-    const = p["beta"] - cache["mean"] * scale
-    _delta_add(out, const, cfg.ln_rule)
-    return DecomposedTensor(out)
-
-
-def lin_instancenorm(
-    layer: LayerSpec,
-    d: DecomposedTensor,
-    state: RecordedState,
-    cfg: SplitConfig,
-) -> DecomposedTensor:
-    """Same construction as lin_layernorm with per-channel spatial statistics."""
-    p = layer.params
-    cache = state.caches[layer.id]
-    nd = d.parts.ndim - 1
-    g = channel_shape(p["gamma"], nd)
-    b = channel_shape(p["beta"], nd)
-    scale = g / np.sqrt(cache["var"] + p["eps"])
-    if cfg.ln_rule == "ratio":
-        axes = tuple(range(2, d.parts.ndim))
-        centered = d.parts - d.parts.mean(axis=axes, keepdims=True)
-        out = centered * scale
-        out[-1] += b
-        return DecomposedTensor(out)
-    out = d.parts * scale
-    const = b - cache["mean"] * scale
-    _delta_add(out, const, cfg.ln_rule)
-    return DecomposedTensor(out)
-
-
-def lin_softmax(layer: LayerSpec, d: DecomposedTensor, state: RecordedState) -> DecomposedTensor:
-    """Softmax linearized exactly like an activation: recorded chord ratios."""
-    cache = state.caches[layer.id]
-    return DecomposedTensor(_scaled_with_residual(d, cache["ratio"], cache["residual"]))
 
 
 def lin_matmul(
@@ -427,36 +415,16 @@ def apply_frozen(
 ) -> np.ndarray:
     """Evaluate the frozen linearized layer on plain tensors.
 
-    This is the layer the component stack actually flows through: activations
-    become chord-scaled maps plus their recorded residual, normalizations use
-    frozen statistics, and everything else is the original (already linear)
-    layer. Summing rule outputs over components reproduces this map applied
-    to the summed input.
+    This is the layer the component stack actually flows through: the frozen
+    map on a one-component stack plus the full constant. Structural layers
+    (Input, ConcatFusion, ResidualAdd, MatMul) are already linear and are
+    evaluated as they are. Summing rule outputs over components reproduces
+    this map applied to the summed input.
     """
-    kind = layer.kind
-    if kind in _ACTIVATION_KINDS:
-        cache = state.caches[layer.id]
-        return cache["ratio"] * xs[0] + cache["residual"]
-    if kind == "LayerNorm":
-        p = layer.params
-        cache = state.caches[layer.id]
-        scale = p["gamma"] / np.sqrt(cache["var"] + p["eps"])
-        if cfg.ln_rule == "ratio":
-            mean = xs[0].mean(axis=tuple(p["axes"]), keepdims=True)
-        else:
-            mean = cache["mean"]
-        return (xs[0] - mean) * scale + p["beta"]
-    if kind == "InstanceNorm":
-        p = layer.params
-        cache = state.caches[layer.id]
-        nd = xs[0].ndim
-        scale = channel_shape(p["gamma"], nd) / np.sqrt(cache["var"] + p["eps"])
-        if cfg.ln_rule == "ratio":
-            mean = xs[0].mean(axis=tuple(range(1, nd)), keepdims=True)
-        else:
-            mean = cache["mean"]
-        return (xs[0] - mean) * scale + channel_shape(p["beta"], nd)
-    return eval_layer(layer, xs)
+    if layer.kind in _STRUCTURAL_KINDS:
+        return eval_layer(layer, xs)
+    fmap, const, _ = _frozen_rule(layer, state, cfg, xs[0].ndim)
+    return fmap(xs[0][None])[0] + const
 
 
 # --- whole-network propagation --------------------------------------------
@@ -493,31 +461,17 @@ def propagate(
         ups = [comp[i] for i in layer.inputs]
         kind = layer.kind
         if kind == "Input":
-            x = as_tensor(inputs[layer.params["modality"]])
-            want = tuple(layer.params["shape"])
-            if x.shape != want:
-                raise ModelError(f"input '{layer.id}' expects shape {want}, got {x.shape}")
-            out = split_input(x, layer.params["modality"], M)
-        elif kind in ("Dense", "Conv2d"):
-            out = lin_affine(layer, ups[0])
+            out = split_input(eval_layer(layer, [], inputs), layer.params["modality"], M)
         elif kind == "ConcatFusion":
             out = lin_concat(ups, layer.params["axis"])
         elif kind == "ResidualAdd":
             out = lin_residual_add(ups[0], ups[1])
-        elif kind in ("ReLU", "GELU"):
-            out = lin_activation(layer, ups[0], state, cfg)
-        elif kind == "Softmax":
-            out = lin_softmax(layer, ups[0], state)
-        elif kind == "BatchNorm":
-            out = lin_batchnorm(layer, ups[0], cfg)
-        elif kind == "LayerNorm":
-            out = lin_layernorm(layer, ups[0], state, cfg)
-        elif kind == "InstanceNorm":
-            out = lin_instancenorm(layer, ups[0], state, cfg)
         elif kind == "MatMul":
             out = lin_matmul(ups[0], ups[1], layer.params.get("transpose_b", False))
-        else:  # pragma: no cover
-            raise ModelError(f"unhandled kind '{kind}'")
+        elif kind in ("ReLU", "GELU"):
+            out = lin_activation(layer, ups[0], state, cfg)
+        else:
+            out = _push(layer, ups[0], state, cfg)
         comp[layer.id] = out
     return comp
 

@@ -48,9 +48,13 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("pearson needs at least two elements")
     da = a - a.mean()
     db = b - b.mean()
-    denom = np.sqrt((da * da).sum() * (db * db).sum())
-    if denom == 0.0:
+    # the correlation is scale-free: normalize before squaring so that a tiny
+    # spread does not underflow into a wrong value
+    sa, sb = np.max(np.abs(da)), np.max(np.abs(db))
+    if sa == 0.0 or sb == 0.0:
         return 0.0
+    da, db = da / sa, db / sb
+    denom = np.sqrt((da * da).sum() * (db * db).sum())
     if np.array_equal(a, b):
         # identical inputs correlate exactly; do not let sqrt rounding shave an ulp
         return 1.0

@@ -192,6 +192,27 @@ def matmul_pair(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) -> np.n
     return np.matmul(a, b)
 
 
+def norm_axes(layer: LayerSpec, ndim: int) -> tuple[int, ...]:
+    """Normalization axes: LayerNorm's own, every non-channel axis for InstanceNorm."""
+    if layer.kind == "LayerNorm":
+        return tuple(layer.params["axes"])
+    return tuple(range(1, ndim))
+
+
+def norm_affine(layer: LayerSpec, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma, beta) shaped to broadcast over a rank-ndim activation."""
+    p = layer.params
+    if layer.kind == "LayerNorm":
+        return p["gamma"], p["beta"]
+    return channel_shape(p["gamma"], ndim), channel_shape(p["beta"], ndim)
+
+
+def norm_stats(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and variance over axes (two-pass), with kept dims."""
+    mean = x.mean(axis=axes, keepdims=True)
+    return mean, ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+
+
 def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.ndarray:
     """Evaluate one layer on its upstream activations."""
     kind = layer.kind
@@ -216,19 +237,10 @@ def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.
         x = upstream[0]
         s = p["gamma"] / np.sqrt(p["var"] + p["eps"])
         return (x - channel_shape(p["mean"], x.ndim)) * channel_shape(s, x.ndim) + channel_shape(p["beta"], x.ndim)
-    if kind == "LayerNorm":
+    if kind in ("LayerNorm", "InstanceNorm"):
         x = upstream[0]
-        axes = tuple(p["axes"])
-        mean = x.mean(axis=axes, keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-        return (x - mean) / np.sqrt(var + p["eps"]) * p["gamma"] + p["beta"]
-    if kind == "InstanceNorm":
-        x = upstream[0]
-        axes = tuple(range(1, x.ndim))
-        mean = x.mean(axis=axes, keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-        g = channel_shape(p["gamma"], x.ndim)
-        b = channel_shape(p["beta"], x.ndim)
+        mean, var = norm_stats(x, norm_axes(layer, x.ndim))
+        g, b = norm_affine(layer, x.ndim)
         return (x - mean) / np.sqrt(var + p["eps"]) * g + b
     if kind == "ReLU":
         return np.maximum(upstream[0], 0.0)

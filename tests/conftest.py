@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modaldecomp import GenSpec, LayerSpec, ModelGraph, gen_synthetic_model
+
+# CLI tests run `python -m modaldecomp` in temporary directories, where a
+# relative PYTHONPATH entry such as `src` no longer resolves.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 def small_model(seed=7, **overrides):

@@ -15,10 +15,15 @@ from modaldecomp import (
     RecordedState,
     SplitConfig,
     apply_frozen,
+    gen_sample_set,
     lin_matmul,
+    propagate,
+    record,
 )
 from modaldecomp.decompose import _chord_ratio
 from modaldecomp.model import eval_layer
+
+from conftest import small_model
 
 EPS = 1e-6
 SHAPE = (2, 4, 4)
@@ -128,17 +133,16 @@ def test_modality_stream_additivity(kind, rng):
         assert np.max(np.abs(lhs - rhs)) / scale <= 1e-9
 
 
+CONFIGS = [
+    SplitConfig("identity", "ratio"),
+    SplitConfig("uniform", "identity"),
+    SplitConfig("identity", "uniform"),
+    SplitConfig("uniform", "uniform"),
+]
+
+
 @pytest.mark.parametrize("kind", ELEMENT_KINDS)
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SplitConfig("identity", "ratio"),
-        SplitConfig("uniform", "identity"),
-        SplitConfig("identity", "uniform"),
-        SplitConfig("uniform", "uniform"),
-    ],
-    ids=lambda c: c.label(),
-)
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_component_sum_matches_frozen_layer(kind, cfg, rng):
     """Summing rule outputs over components equals the frozen map on the sum."""
     layer, state = build_case(kind, rng)
@@ -148,6 +152,33 @@ def test_component_sum_matches_frozen_layer(kind, cfg, rng):
         ref = apply_frozen(layer, state, cfg, [d.total()])
         scale = 1.0 + np.max(np.abs(ref))
         assert np.max(np.abs(out.total() - ref)) / scale <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ELEMENT_KINDS)
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
+def test_frozen_layer_matches_plain_layer_at_recorded_input(kind, cfg, rng):
+    """The frozen layer reproduces the original layer at the recorded point."""
+    layer, state = build_case(kind, rng)
+    pre = state.activations["x"]
+    ref = eval_layer(layer, [pre])
+    got = apply_frozen(layer, state, cfg, [pre])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_softmax_stack_ignores_act_rule():
+    """act_rule re-routes ReLU/GELU bias mass only, never a Softmax's."""
+    model = small_model(seed=5, include_attention=True, activations=())
+    kinds = {layer.kind for layer in model.layers}
+    assert "Softmax" in kinds and not kinds & {"ReLU", "GELU"}
+    x = gen_sample_set(1, model, 1)[0]
+    state = record(model, x)
+    base = propagate(model, state, x, SplitConfig())
+    upstream = model.by_id["attn_softmax"].inputs[0]
+    for rule in ("sum", "ratio"):
+        comp = propagate(model, state, x, SplitConfig(act_rule=rule))
+        assert np.array_equal(comp[upstream].parts, base[upstream].parts)
+        assert np.array_equal(comp["attn_softmax"].parts, base["attn_softmax"].parts)
 
 
 def test_structural_rules_additive(rng):
