@@ -257,10 +257,7 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
         return dense, channel_shape(p["bias"], nd), "identity"
     if kind == "Conv2d":
         zero = np.zeros_like(p["bias"])
-
-        def conv(s):
-            return np.stack([conv2d(x, p["weight"], zero, p["stride"], p["padding"]) for x in s])
-
+        conv = lambda s: conv2d(s, p["weight"], zero, p["stride"], p["padding"])  # noqa: E731
         return conv, channel_shape(p["bias"], nd), "identity"
     if kind in _ACTIVATION_KINDS:
         cache = state.caches[layer.id]

@@ -53,6 +53,9 @@ _ARITY = {
     "MatMul": (2, 2),
 }
 
+# params a layer document must carry as lists, restored to tuples, per kind
+_TUPLE_PARAMS = {"Input": ("shape",), "LayerNorm": ("axes",)}
+
 # params holding arrays, per kind, in serialization order
 _ARRAY_PARAMS = {
     "Dense": ("weight", "bias"),
@@ -288,14 +291,11 @@ def _layer_from_doc(doc: dict) -> LayerSpec:
         raise ModelError(f"layer document missing id/kind: {doc}")
     kind = doc["kind"]
     params = {k: v for k, v in doc.items() if k not in ("id", "kind", "inputs")}
-    for key in _ARRAY_PARAMS.get(kind, ()):
+    tuples = _TUPLE_PARAMS.get(kind, ())
+    for key in tuples + _ARRAY_PARAMS.get(kind, ()):
         if key not in params:
             raise ModelError(f"layer '{doc['id']}' ({kind}) missing '{key}'")
-        params[key] = as_tensor(params[key])
-    if kind == "LayerNorm":
-        params["axes"] = tuple(params["axes"])
-    if kind == "Input":
-        params["shape"] = tuple(params["shape"])
+        params[key] = tuple(params[key]) if key in tuples else as_tensor(params[key])
     return LayerSpec(doc["id"], kind, list(doc.get("inputs", [])), params)
 
 

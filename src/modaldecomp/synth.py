@@ -93,10 +93,9 @@ def gen_synthetic_model(seed: int, spec: GenSpec | None = None) -> ModelGraph:
     layers from every branch and block.
     """
     spec = spec or GenSpec()
-    if spec.modalities < 1:
-        raise ValueError("modalities must be >= 1")
-    if spec.depth < 1:
-        raise ValueError("depth must be >= 1")
+    for size in ("modalities", "depth", "grid", "channels"):
+        if getattr(spec, size) < 1:
+            raise ValueError(f"{size} must be >= 1")
     for n in spec.norms:
         if n not in _NORM_KINDS:
             raise ValueError(f"unknown norm kind '{n}'")
@@ -319,6 +318,8 @@ def load_samples(data: bytes) -> SampleSet:
         raise ModelError(f"sample document is not valid JSON: {e}") from e
     if doc.get("version") != 1:
         raise ModelError(f"unsupported sample version {doc.get('version')!r}")
+    if "samples" not in doc:
+        raise ModelError("sample document missing 'samples'")
     samples = [
         {int(m): as_tensor(v) for m, v in entry.items()} for entry in doc["samples"]
     ]

@@ -26,6 +26,13 @@ def run_cli(args, cwd, threads=None, check=True):
     return proc
 
 
+def assert_validation_error(proc, detail):
+    """Exit 2 with a one-line 'error:' message that names detail, no traceback."""
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and detail in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Model + samples shared by the command tests."""
@@ -57,6 +64,12 @@ class TestGenModel:
     def test_invalid_spec_exits_2(self, workdir):
         proc = run_cli(["gen-model", "--modalities", "0", "--out", "x.json"], workdir, check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--grid", "--channels"])
+    def test_empty_extent_exits_2(self, workdir, flag):
+        proc = run_cli(["gen-model", flag, "0", "--out", "empty.json"], workdir, check=False)
+        assert_validation_error(proc, flag[2:])
+        assert not (workdir / "empty.json").exists()
 
 
 class TestDecompose:
@@ -94,6 +107,26 @@ class TestDecompose:
         )
         assert proc.returncode == 3
         assert "non-finite" in proc.stderr and "in0" in proc.stderr
+
+    def test_samples_document_without_samples_exits_2(self, workdir):
+        (workdir / "nosamples.json").write_text(json.dumps({"version": 1, "n": 1}))
+        proc = run_cli(
+            ["decompose", "--model", "model.json", "--samples", "nosamples.json", "--out", "x.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "'samples'")
+
+    def test_input_layer_without_shape_exits_2(self, workdir):
+        doc = json.loads((workdir / "model.json").read_text())
+        del doc["layers"][0]["shape"]
+        (workdir / "noshape.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            ["decompose", "--model", "noshape.json", "--samples", "samples.json", "--out", "x.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "'in0' (Input) missing 'shape'")
 
     def test_act_rule_on_three_modalities_exits_2(self, workdir):
         run_cli(["gen-samples", "--seed", "5", "--model", "m3.json", "--count", "2", "--out", "s3b.json"], workdir)

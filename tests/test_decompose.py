@@ -25,7 +25,7 @@ from modaldecomp import (
     record,
     split_input,
 )
-from modaldecomp.decompose import _chord_ratio
+from modaldecomp.decompose import _chord_ratio, _frozen_rule
 from modaldecomp.model import _softmax
 
 from conftest import scalar_pair_model, small_model
@@ -134,6 +134,21 @@ class TestAffineRule:
         out = lin_affine(layer, d)
         ref = conv2d(d.total(), layer.params["weight"], layer.params["bias"], 1, 1)
         assert np.allclose(out.total(), ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_conv_rows_are_independent(self, rng, c_in):
+        # a component's conv image must not depend on the rows stacked with it
+        layer = LayerSpec(
+            "y",
+            "Conv2d",
+            ["x"],
+            {"weight": rng.normal(size=(4, c_in, 3, 3)), "bias": rng.normal(size=4), "stride": 1, "padding": 1},
+        )
+        conv, _, _ = _frozen_rule(layer, None, None, 3)
+        stack = rng.normal(size=(5, c_in, 6, 6))
+        out = conv(stack)
+        for k in range(5):
+            assert np.array_equal(conv(stack[k : k + 1])[0], out[k])
 
 
 class TestStructuralRules:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,16 @@ from modaldecomp import (
     save_model,
 )
 
+from modaldecomp.model import norm_stats
+
 from conftest import scalar_pair_model, small_model
+
+
+def naive_norm_stats(a, axes):
+    """Two-pass population mean and variance, dims kept, by explicit sums."""
+    count = np.prod([a.shape[ax] for ax in axes])
+    mean = a.sum(axis=axes, keepdims=True) / count
+    return mean, ((a - mean) ** 2).sum(axis=axes, keepdims=True) / count
 
 
 def test_single_dense_layer():
@@ -139,6 +149,14 @@ class TestSerialization:
         with pytest.raises(ModelError, match="not valid JSON"):
             load_model(b"{nope")
 
+    @pytest.mark.parametrize("kind, key", [("Input", "shape"), ("LayerNorm", "axes"), ("Conv2d", "weight")])
+    def test_missing_field_named(self, kind, key):
+        doc = json.loads(save_model(small_model()))
+        layer = next(l for l in doc["layers"] if l["kind"] == kind)
+        del layer[key]
+        with pytest.raises(ModelError, match=f"'{layer['id']}' \\({kind}\\) missing '{key}'"):
+            load_model(json.dumps(doc).encode())
+
 
 class TestGraphInvariants:
     def test_fusion_point_required(self):
@@ -172,3 +190,33 @@ class TestGraphInvariants:
         ]
         with pytest.raises(ModelError, match="inputs"):
             ModelGraph(layers, "add", 1)
+
+
+class TestNormStats:
+    def test_constant(self):
+        mean, var = norm_stats(np.full((4,), 2.5), (0,))
+        assert mean.shape == var.shape == (1,)
+        assert mean[0] == 2.5 and var[0] == 0.0
+
+    def test_hand(self):
+        mean, var = norm_stats(np.array([1.0, 3.0]), (0,))
+        assert mean[0] == 2.0 and var[0] == 1.0
+
+    def test_against_naive(self, rng):
+        x = rng.normal(size=8)
+        mean, var = norm_stats(x, (0,))
+        m_ref, v_ref = naive_norm_stats(x, (0,))
+        assert np.allclose(mean, m_ref, rtol=1e-12) and np.allclose(var, v_ref, rtol=1e-12)
+
+    def test_multi_axis(self, rng):
+        x = rng.normal(size=(3, 4, 5))
+        mean, var = norm_stats(x, (1, 2))
+        m_ref, v_ref = naive_norm_stats(x, (1, 2))
+        assert mean.shape == var.shape == (3, 1, 1)
+        assert np.allclose(mean, m_ref) and np.allclose(var, v_ref)
+
+    def test_centered_mean_is_zero(self, rng):
+        x = rng.normal(size=32)
+        mean, _ = norm_stats(x, (0,))
+        centered_mean, _ = norm_stats(x - mean, (0,))
+        assert abs(centered_mean[0]) <= 1e-12

@@ -69,6 +69,12 @@ def test_bad_spec_rejected():
         gen_synthetic_model(0, GenSpec(norms=("blur",)))
 
 
+@pytest.mark.parametrize("field", ["grid", "channels"])
+def test_empty_extent_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        gen_synthetic_model(0, GenSpec(**{field: 0}))
+
+
 class TestSampleSet:
     def test_deterministic_bytes(self):
         model = gen_synthetic_model(2, GenSpec(grid=8, channels=4, depth=1))

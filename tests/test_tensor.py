@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from modaldecomp.tensor import concat, conv2d, elementwise_add, matmul, moments, scale
+from modaldecomp.tensor import concat, conv2d, elementwise_add, matmul, scale
 
 
 def naive_matmul(a, b):
@@ -32,13 +34,6 @@ def naive_conv2d(x, w, b, stride=1, padding=0):
                             acc += w[o, c, di, dj] * xp[c, i * stride + di, j * stride + dj]
                 out[o, i, j] = acc + b[o]
     return out
-
-
-def naive_moments(a, axes):
-    flatten_over = [a]  # two-pass reference over the reduced axes
-    mean = a.mean(axis=axes, keepdims=True)
-    var = ((a - mean) ** 2).sum(axis=axes) / np.prod([a.shape[ax] for ax in axes])
-    return np.squeeze(mean, axis=axes), var
 
 
 class TestElementwiseAdd:
@@ -129,6 +124,42 @@ class TestConv2d:
         with pytest.raises(ValueError, match="not integral"):
             conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 2, 2)), np.zeros(1), stride=2)
 
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, stride, padding, size",
+        [
+            (3, 2, 1, 1, 0, 6),  # 1x1
+            (1, 4, 3, 1, 1, 8),  # one input channel
+            (3, 4, 3, 1, 1, 7),
+            (3, 2, 3, 2, 1, 7),
+            (2, 3, 3, 3, 2, 11),
+            (2, 3, 2, 1, 0, 6),  # output narrower than the input
+            (2, 1, 3, 1, 0, 7),  # one output channel
+        ],
+    )
+    def test_stack_equals_per_slice_calls(self, rng, c_in, c_out, k, stride, padding, size):
+        x = rng.normal(size=(5, c_in, size, size))
+        w = rng.normal(size=(c_out, c_in, k, k))
+        b = rng.normal(size=c_out)
+        out = conv2d(x, w, b, stride, padding)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.stack([conv2d(xs, w, b, stride, padding) for xs in x]))
+        assert np.allclose(out[2], naive_conv2d(x[2], w, b, stride, padding), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kw, out_shape", [(3, (2, 3, 6, 5)), (2, (2, 3, 6, 6))])
+    def test_output_larger_than_input_against_naive(self, rng, kw, out_shape):
+        x = rng.normal(size=(2, 2, 4, 5))
+        w = rng.normal(size=(3, 2, 1, kw))
+        b = rng.normal(size=3)
+        out = conv2d(x, w, b, padding=1)
+        assert out.shape == out_shape
+        for xs, o in zip(x, out):
+            assert np.allclose(o, naive_conv2d(xs, w, b, 1, 1), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 1, 1, 4, 4)])
+    def test_rank_other_than_map_or_stack(self, shape):
+        with pytest.raises(ValueError, match=r"\(S,C,H,W\).*" + re.escape(str(shape))):
+            conv2d(np.zeros(shape), np.zeros((1, 1, 3, 3)), np.zeros(1), padding=1)
+
 
 class TestConcat:
     def test_scalars(self):
@@ -146,35 +177,3 @@ class TestConcat:
     def test_extent_mismatch(self):
         with pytest.raises(ValueError, match="extent mismatch"):
             concat([np.zeros((2, 2)), np.zeros((3, 3))], 0)
-
-
-class TestMoments:
-    def test_constant(self):
-        mean, var = moments(np.full((4,), 2.5), (0,))
-        assert mean == 2.5 and var == 0.0
-
-    def test_hand(self):
-        mean, var = moments(np.array([1.0, 3.0]), (0,))
-        assert mean == 2.0 and var == 1.0
-
-    def test_against_naive(self, rng):
-        x = rng.normal(size=8)
-        mean, var = moments(x, (0,))
-        m_ref, v_ref = naive_moments(x, (0,))
-        assert np.allclose(mean, m_ref, rtol=1e-12) and np.allclose(var, v_ref, rtol=1e-12)
-
-    def test_multi_axis(self, rng):
-        x = rng.normal(size=(3, 4, 5))
-        mean, var = moments(x, (1, 2))
-        m_ref, v_ref = naive_moments(x, (1, 2))
-        assert np.allclose(mean, m_ref) and np.allclose(var, v_ref)
-
-    def test_centered_mean_is_zero(self, rng):
-        x = rng.normal(size=32)
-        mean, _ = moments(x, (0,))
-        centered_mean, _ = moments(x - mean, (0,))
-        assert abs(centered_mean) <= 1e-12
-
-    def test_empty_axes(self):
-        with pytest.raises(ValueError, match="empty axis set"):
-            moments(np.zeros(3), ())
