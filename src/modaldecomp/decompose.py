@@ -278,6 +278,26 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
     raise ValueError(f"no frozen single-input rule for kind '{kind}'")
 
 
+def _separable(model: ModelGraph, cfg: SplitConfig) -> set[str]:
+    """Ids of the layers whose component rows depend on nothing but their own row.
+
+    Every frozen rule computes component r of its output from component r of
+    its inputs, except MatMul (cross terms go to bias) and ReLU/GELU under an
+    act_rule that re-routes bias mass; a layer is separable when its rule is
+    not one of these and all of its inputs are separable. Up to the first
+    row-mixing layer, each row of a stack is therefore the same whatever the
+    other rows hold.
+    """
+    separable: set[str] = set()
+    for layer in model.layers:
+        mixing = layer.kind == "MatMul" or (
+            layer.kind in ("ReLU", "GELU") and cfg.act_rule != "none"
+        )
+        if not mixing and all(i in separable for i in layer.inputs):
+            separable.add(layer.id)
+    return separable
+
+
 def _push(
     layer: LayerSpec,
     d: DecomposedTensor,
@@ -435,6 +455,38 @@ def _check_config(model: ModelGraph, cfg: SplitConfig) -> None:
         )
 
 
+def _propagate_layers(
+    model: ModelGraph,
+    layers: list[LayerSpec],
+    state: RecordedState,
+    inputs: dict[int, np.ndarray] | None,
+    cfg: SplitConfig,
+    comp: dict[str, DecomposedTensor],
+) -> dict[str, DecomposedTensor]:
+    """Fill comp with the component stack of each of layers, in order.
+
+    comp must already hold the stacks of every upstream layer outside layers.
+    """
+    M = model.modalities
+    for layer in layers:
+        ups = [comp[i] for i in layer.inputs]
+        kind = layer.kind
+        if kind == "Input":
+            out = split_input(eval_layer(layer, [], inputs), layer.params["modality"], M)
+        elif kind == "ConcatFusion":
+            out = lin_concat(ups, layer.params["axis"])
+        elif kind == "ResidualAdd":
+            out = lin_residual_add(ups[0], ups[1])
+        elif kind == "MatMul":
+            out = lin_matmul(ups[0], ups[1], layer.params.get("transpose_b", False))
+        elif kind in ("ReLU", "GELU"):
+            out = lin_activation(layer, ups[0], state, cfg)
+        else:
+            out = _push(layer, ups[0], state, cfg)
+        comp[layer.id] = out
+    return comp
+
+
 def propagate(
     model: ModelGraph,
     state: RecordedState,
@@ -452,25 +504,7 @@ def propagate(
         raise ValueError(
             f"state was recorded with epsilon {state.epsilon}, config has {cfg.epsilon}"
         )
-    M = model.modalities
-    comp: dict[str, DecomposedTensor] = {}
-    for layer in model.layers:
-        ups = [comp[i] for i in layer.inputs]
-        kind = layer.kind
-        if kind == "Input":
-            out = split_input(eval_layer(layer, [], inputs), layer.params["modality"], M)
-        elif kind == "ConcatFusion":
-            out = lin_concat(ups, layer.params["axis"])
-        elif kind == "ResidualAdd":
-            out = lin_residual_add(ups[0], ups[1])
-        elif kind == "MatMul":
-            out = lin_matmul(ups[0], ups[1], layer.params.get("transpose_b", False))
-        elif kind in ("ReLU", "GELU"):
-            out = lin_activation(layer, ups[0], state, cfg)
-        else:
-            out = _push(layer, ups[0], state, cfg)
-        comp[layer.id] = out
-    return comp
+    return _propagate_layers(model, model.layers, state, inputs, cfg, {})
 
 
 @dataclass

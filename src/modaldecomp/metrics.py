@@ -34,11 +34,12 @@ __all__ = [
 ]
 
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of the flattened entries, in [-1, 1].
+def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
+    """Pearson correlation of the flattened entries and whether it is degenerate.
 
-    A constant input has no defined correlation; by convention the result is
-    0.0 there (use pearson_degenerate to detect the case).
+    Degenerate means a constant argument, whose correlation is undefined and
+    reads 0.0 by convention, or a non-finite spread (a non-finite entry, or
+    one so large that centring overflows), which reads nan.
     """
     a = as_tensor(a).ravel()
     b = as_tensor(b).ravel()
@@ -46,26 +47,37 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"pearson shape mismatch: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ValueError("pearson needs at least two elements")
-    da = a - a.mean()
-    db = b - b.mean()
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return 0.0, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = a - a.mean()
+        db = b - b.mean()
     # the correlation is scale-free: normalize before squaring so that a tiny
     # spread does not underflow into a wrong value
     sa, sb = np.max(np.abs(da)), np.max(np.abs(db))
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
+    if not (np.isfinite(sa) and np.isfinite(sb)):
+        return float("nan"), True
     da, db = da / sa, db / sb
     denom = np.sqrt((da * da).sum() * (db * db).sum())
     if np.array_equal(a, b):
         # identical inputs correlate exactly; do not let sqrt rounding shave an ulp
-        return 1.0
-    return float(np.clip((da * db).sum() / denom, -1.0, 1.0))
+        return 1.0, False
+    return float(np.clip((da * db).sum() / denom, -1.0, 1.0)), False
+
+
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of the flattened entries, in [-1, 1].
+
+    A constant input has no defined correlation; by convention the result is
+    0.0 there, and nan when an entry or the spread is not finite (use
+    pearson_degenerate to detect both cases).
+    """
+    return _pearson(a, b)[0]
 
 
 def pearson_degenerate(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when either argument is constant (zero variance)."""
-    a = as_tensor(a).ravel()
-    b = as_tensor(b).ravel()
-    return bool(np.all(a == a[0]) or np.all(b == b[0]))
+    """True when pearson(a, b) is no correlation: a constant or non-finite input."""
+    return _pearson(a, b)[1]
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,9 +216,7 @@ def perturbation_protocol(
                 for o in modalities:
                     a = _score_map(clean.modality(o), mcfg.positive_parts)
                     b = _score_map(pert.modality(o), mcfg.positive_parts)
-                    rows.append(
-                        (pset, o, pearson(a, b), pearson_degenerate(a, b), mse(a, b))
-                    )
+                    rows.append((pset, o, *_pearson(a, b), mse(a, b)))
         return rows
 
     all_rows = [row for rows in ordered_map(one_sample, range(n)) for row in rows]

@@ -65,6 +65,16 @@ _ARRAY_PARAMS = {
     "InstanceNorm": ("gamma", "beta"),
 }
 
+# scalar params a layer document must carry, per kind, with the type each takes
+_SCALAR_PARAMS = {
+    "Conv2d": {"stride": int, "padding": int},
+    "BatchNorm": {"eps": float},
+    "LayerNorm": {"eps": float},
+    "InstanceNorm": {"eps": float},
+    "Softmax": {"axis": int},
+    "ConcatFusion": {"axis": int},
+}
+
 
 class ModelError(ValueError):
     """Raised for malformed graphs or serialized model documents."""
@@ -286,17 +296,39 @@ def _layer_to_doc(layer: LayerSpec) -> dict:
     return doc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _layer_from_doc(doc: dict) -> LayerSpec:
-    if "id" not in doc or "kind" not in doc:
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in ("id", "kind"))):
         raise ModelError(f"layer document missing id/kind: {doc}")
     kind = doc["kind"]
     params = {k: v for k, v in doc.items() if k not in ("id", "kind", "inputs")}
+    where = f"layer '{doc['id']}' ({kind})"
     tuples = _TUPLE_PARAMS.get(kind, ())
-    for key in tuples + _ARRAY_PARAMS.get(kind, ()):
+    scalars = _SCALAR_PARAMS.get(kind, {})
+    for key in tuples + _ARRAY_PARAMS.get(kind, ()) + tuple(scalars):
         if key not in params:
-            raise ModelError(f"layer '{doc['id']}' ({kind}) missing '{key}'")
-        params[key] = tuple(params[key]) if key in tuples else as_tensor(params[key])
-    return LayerSpec(doc["id"], kind, list(doc.get("inputs", [])), params)
+            raise ModelError(f"{where} missing '{key}'")
+        val = params[key]
+        if key in tuples:
+            if not isinstance(val, list) or not all(_is_int(v) for v in val):
+                raise ModelError(f"{where} '{key}' must be a list of integers, got {val!r}")
+            params[key] = tuple(val)
+        elif key in scalars:
+            number = _is_int(val) or (scalars[key] is float and isinstance(val, float))
+            if not number:
+                raise ModelError(f"{where} '{key}' must be {scalars[key].__name__}, got {val!r}")
+        else:
+            try:
+                params[key] = as_tensor(val)
+            except (TypeError, ValueError) as e:
+                raise ModelError(f"{where} '{key}' is not a numeric array: {e}") from e
+    inputs = doc.get("inputs", [])
+    if not (isinstance(inputs, list) and all(isinstance(i, str) for i in inputs)):
+        raise ModelError(f"{where} 'inputs' must be a list of layer ids, got {inputs!r}")
+    return LayerSpec(doc["id"], kind, inputs, params)
 
 
 def save_model(model: ModelGraph) -> bytes:
@@ -316,9 +348,13 @@ def load_model(data: bytes) -> ModelGraph:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelError(f"model document is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ModelError("model document is not a JSON object")
     if doc.get("version") != 1:
         raise ModelError(f"unsupported model version {doc.get('version')!r}")
     if "modalities" not in doc or "layers" not in doc or "output" not in doc:
         raise ModelError("model document missing modalities/layers/output")
-    layers = [_layer_from_doc(d) for d in doc["layers"]]
-    return ModelGraph(layers, doc["output"], int(doc["modalities"]))
+    modalities, layer_docs, output = doc["modalities"], doc["layers"], doc["output"]
+    if not (_is_int(modalities) and isinstance(layer_docs, list) and isinstance(output, str)):
+        raise ModelError("model document needs integer modalities, a layers list and an output id")
+    return ModelGraph([_layer_from_doc(d) for d in layer_docs], output, modalities)

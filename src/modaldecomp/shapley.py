@@ -13,7 +13,14 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, decompose, propagate
+from .decompose import (
+    DecomposedTensor,
+    SplitConfig,
+    _propagate_layers,
+    _separable,
+    decompose,
+    propagate,
+)
 from .model import ModelGraph, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -106,7 +113,9 @@ def hybrid_shapley(
     whose value is the bias component produced with modalities outside the
     coalition zeroed; each modality's Shapley share of that bias mass is
     added to its component. The empty-coalition bias is the base, so
-    efficiency holds by construction.
+    efficiency holds by construction. The game costs two full propagates
+    (every modality, none); the other coalitions rerun only the layers past
+    the first row-mixing one.
 
     method='proportional': a simpler reading that splits the bias elementwise
     in proportion to the component magnitudes.
@@ -120,10 +129,10 @@ def hybrid_shapley(
         raise ValueError(f"{m} modalities would need 2^{m} forwards; guard is {MAX_MODALITIES}")
     if state is None:
         res = decompose(model, inputs, cfg)
-        state = res.state
-        out = res.output
+        state, full = res.state, res.components
     else:
-        out = propagate(model, state, inputs, cfg)[model.output]
+        full = propagate(model, state, inputs, cfg)
+    out = full[model.output]
     components = {i: out.modality(i) for i in range(m)}
     h_bias = out.bias
     total = out.total()
@@ -139,12 +148,26 @@ def hybrid_shapley(
         raise ValueError(f"unknown redistribution method '{method}'")
 
     zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    bias_values = {}
-    for mask in range(1 << m):
-        coalition_inputs = {
-            i: inputs[i] if mask & (1 << i) else zeros[i] for i in range(m)
-        }
-        comp = propagate(model, state, coalition_inputs, cfg)
+    empty = propagate(model, state, zeros, cfg)
+    everyone = (1 << m) - 1
+    bias_values = {0: empty[model.output].bias, everyone: h_bias}
+    # Up to the first row-mixing layer a coalition's stack holds, row for
+    # row, the full run's rows of its members and the empty run's rows of
+    # the rest (the bias row is the same in both), so only the layers past
+    # that frontier are run again per coalition.
+    separable = _separable(model, cfg)
+    suffix = [layer for layer in model.layers if layer.id not in separable]
+    frontier = {i for layer in suffix for i in layer.inputs if i in separable}
+    if model.output in separable:
+        frontier.add(model.output)
+    for mask in range(1, everyone):
+        keep = np.array([bool(mask >> i & 1) for i in range(m)] + [True])
+        comp = {}
+        for lid in frontier:
+            parts = full[lid].parts
+            rows = keep.reshape((-1,) + (1,) * (parts.ndim - 1))
+            comp[lid] = DecomposedTensor(np.where(rows, parts, empty[lid].parts))
+        _propagate_layers(model, suffix, state, None, cfg, comp)
         bias_values[mask] = comp[model.output].bias
     phis = _shapley_from_values(bias_values, m)
     per = {i: components[i] + phis[i] for i in range(m)}

@@ -316,13 +316,18 @@ def load_samples(data: bytes) -> SampleSet:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelError(f"sample document is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ModelError("sample document is not a JSON object")
     if doc.get("version") != 1:
         raise ModelError(f"unsupported sample version {doc.get('version')!r}")
     if "samples" not in doc:
         raise ModelError("sample document missing 'samples'")
-    samples = [
-        {int(m): as_tensor(v) for m, v in entry.items()} for entry in doc["samples"]
-    ]
+    try:
+        samples = [
+            {int(m): as_tensor(v) for m, v in entry.items()} for entry in doc["samples"]
+        ]
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ModelError(f"sample document 'samples' is not a list of numeric maps: {e}") from e
     if len(samples) != doc.get("n"):
         raise ModelError("sample count does not match document header")
     return SampleSet(samples)

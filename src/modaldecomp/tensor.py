@@ -14,7 +14,6 @@ __all__ = [
     "as_tensor",
     "elementwise_add",
     "scale",
-    "matmul",
     "conv2d",
     "concat",
 ]
@@ -37,17 +36,6 @@ def elementwise_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def scale(a: np.ndarray, s: float) -> np.ndarray:
     """Multiply every element by the scalar s."""
     return as_tensor(a) * float(s)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of an (m, k) and a (k, n) tensor."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def conv2d(

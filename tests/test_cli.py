@@ -128,6 +128,44 @@ class TestDecompose:
         )
         assert_validation_error(proc, "'in0' (Input) missing 'shape'")
 
+    @pytest.mark.parametrize("which", ["model", "samples"])
+    def test_top_level_array_exits_2(self, workdir, which):
+        (workdir / "array.json").write_text("[]")
+        files = {"model": "model.json", "samples": "samples.json", which: "array.json"}
+        proc = run_cli(
+            ["decompose", "--model", files["model"], "--samples", files["samples"],
+             "--out", "x.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "document is not a JSON object")
+
+    @pytest.mark.parametrize(
+        "kind, key, value, detail",
+        [
+            ("Input", "shape", 8, "'in0' (Input) 'shape' must be a list of integers"),
+            ("LayerNorm", "axes", 0, "(LayerNorm) 'axes' must be a list of integers"),
+            ("Conv2d", "stride", None, "'branch0_conv' (Conv2d) missing 'stride'"),
+            ("Conv2d", "padding", None, "'branch0_conv' (Conv2d) missing 'padding'"),
+            ("BatchNorm", "eps", None, "'branch0_norm' (BatchNorm) missing 'eps'"),
+        ],
+    )
+    def test_malformed_layer_exits_2(self, workdir, kind, key, value, detail):
+        doc = json.loads((workdir / "model.json").read_text())
+        layer = next(l for l in doc["layers"] if l["kind"] == kind)
+        if value is None:
+            del layer[key]
+        else:
+            layer[key] = value
+        (workdir / "malformed.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            ["decompose", "--model", "malformed.json", "--samples", "samples.json",
+             "--out", "x.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, detail)
+
     def test_act_rule_on_three_modalities_exits_2(self, workdir):
         run_cli(["gen-samples", "--seed", "5", "--model", "m3.json", "--count", "2", "--out", "s3b.json"], workdir)
         proc = run_cli(

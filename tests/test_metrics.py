@@ -40,6 +40,23 @@ class TestPearson:
         assert pearson_degenerate([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         assert not pearson_degenerate([1.0, 2.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_constant_reads_zero_when_its_mean_rounds(self):
+        # the mean of seven 0.1s is not 0.1, so centring leaves rounding noise
+        a = np.full(7, 0.1)
+        assert a.mean() != 0.1
+        assert pearson(a, np.arange(7.0)) == 0.0
+        assert pearson_degenerate(a, np.arange(7.0))
+
+    def test_overflowing_spread_flagged(self):
+        a, b = [1e308, 1e308, -1e308], [1.0, 2.0, 3.0]
+        assert math.isnan(pearson(a, b))
+        assert pearson_degenerate(a, b)
+
+    def test_nan_input_flagged(self):
+        a, b = [float("nan"), 1.0, 2.0], [1.0, 2.0, 3.0]
+        assert math.isnan(pearson(a, b)) and math.isnan(pearson(b, a))
+        assert pearson_degenerate(a, b) and pearson_degenerate(b, a)
+
     def test_needs_two_elements(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])

@@ -14,9 +14,20 @@ from modaldecomp import (
     save_model,
 )
 
-from modaldecomp.model import norm_stats
+from modaldecomp.model import matmul_pair, norm_stats
 
 from conftest import scalar_pair_model, small_model
+
+
+def naive_matmul(a, b):
+    m, k = a.shape
+    _, n = b.shape
+    out = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            for l in range(k):
+                out[i, j] += a[i, l] * b[l, j]
+    return out
 
 
 def naive_norm_stats(a, axes):
@@ -149,12 +160,76 @@ class TestSerialization:
         with pytest.raises(ModelError, match="not valid JSON"):
             load_model(b"{nope")
 
-    @pytest.mark.parametrize("kind, key", [("Input", "shape"), ("LayerNorm", "axes"), ("Conv2d", "weight")])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("Input", "shape"),
+            ("LayerNorm", "axes"),
+            ("Conv2d", "weight"),
+            ("Conv2d", "stride"),
+            ("Conv2d", "padding"),
+            ("BatchNorm", "eps"),
+            ("LayerNorm", "eps"),
+            ("InstanceNorm", "eps"),
+            ("Softmax", "axis"),
+            ("ConcatFusion", "axis"),
+        ],
+    )
     def test_missing_field_named(self, kind, key):
-        doc = json.loads(save_model(small_model()))
+        doc = json.loads(save_model(small_model(depth=3, include_attention=True)))
         layer = next(l for l in doc["layers"] if l["kind"] == kind)
         del layer[key]
         with pytest.raises(ModelError, match=f"'{layer['id']}' \\({kind}\\) missing '{key}'"):
+            load_model(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("Input", "shape", 8, "must be a list of integers"),
+            ("Input", "shape", [1, "8", 8], "must be a list of integers"),
+            ("LayerNorm", "axes", "012", "must be a list of integers"),
+            ("Conv2d", "stride", 1.0, "must be int"),
+            ("Conv2d", "padding", True, "must be int"),
+            ("BatchNorm", "eps", "1e-5", "must be float"),
+            ("Softmax", "axis", None, "must be int"),
+            ("Dense", "weight", [[1.0], [1.0, 2.0]], "is not a numeric array"),
+            ("Dense", "inputs", "trunk_residual", "must be a list of layer ids"),
+            ("Dense", "inputs", [["trunk_residual"]], "must be a list of layer ids"),
+        ],
+    )
+    def test_mistyped_field_named(self, kind, key, value, message):
+        doc = json.loads(save_model(small_model(include_attention=True)))
+        layer = next(l for l in doc["layers"] if l["kind"] == kind)
+        layer[key] = value
+        with pytest.raises(ModelError, match=f"'{layer['id']}' \\({kind}\\) '{key}' {message}"):
+            load_model(json.dumps(doc).encode())
+
+    def test_eps_may_be_an_integer(self):
+        doc = json.loads(save_model(small_model()))
+        next(l for l in doc["layers"] if l["kind"] == "BatchNorm")["eps"] = 0
+        load_model(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("doc", [b"[]", b"[1, 2]", b"3", b'"model"'])
+    def test_top_level_not_an_object(self, doc):
+        with pytest.raises(ModelError, match="not a JSON object"):
+            load_model(doc)
+
+    def test_layers_not_a_list_of_objects(self):
+        doc = json.loads(save_model(scalar_pair_model()))
+        doc["layers"][0] = ["a", "Input"]
+        with pytest.raises(ModelError, match="missing id/kind"):
+            load_model(json.dumps(doc).encode())
+        doc["layers"] = {"a": 1}
+        with pytest.raises(ModelError, match="a layers list"):
+            load_model(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "key, value", [("modalities", [2]), ("modalities", "2"), ("output", ["head"])]
+    )
+    def test_header_field_mistyped(self, key, value):
+        doc = json.loads(save_model(scalar_pair_model()))
+        doc[key] = value
+        with pytest.raises(ModelError, match="integer modalities, a layers list and an output id"):
             load_model(json.dumps(doc).encode())
 
 
@@ -190,6 +265,34 @@ class TestGraphInvariants:
         ]
         with pytest.raises(ModelError, match="inputs"):
             ModelGraph(layers, "add", 1)
+
+
+class TestMatmulPair:
+    def test_identity(self, rng):
+        a = rng.normal(size=(3, 3))
+        assert np.array_equal(matmul_pair(np.eye(3), a), a)
+
+    def test_hand(self):
+        a, b = np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])
+        assert np.array_equal(matmul_pair(a, b), [[11.0]])
+
+    def test_against_naive(self, rng):
+        a = rng.normal(size=(4, 4))
+        b = rng.normal(size=(4, 4))
+        assert np.allclose(matmul_pair(a, b), naive_matmul(a, b), rtol=1e-12, atol=1e-12)
+
+    def test_associativity(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(3, 4))
+            b = rng.normal(size=(4, 5))
+            c = rng.normal(size=(5, 2))
+            lhs = matmul_pair(matmul_pair(a, b), c)
+            rhs = matmul_pair(a, matmul_pair(b, c))
+            assert np.allclose(lhs, rhs, rtol=1e-9)
+
+    def test_inner_mismatch(self):
+        with pytest.raises(ModelError, match="inner extents"):
+            matmul_pair(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestNormStats:

@@ -11,9 +11,12 @@ from modaldecomp import (
     gen_sample_set,
     hybrid_shapley,
     pearson,
+    propagate,
     record,
     shapley,
 )
+from modaldecomp.decompose import _separable
+from modaldecomp.shapley import _shapley_from_values
 
 from conftest import scalar_pair_model, small_model
 
@@ -155,3 +158,72 @@ class TestHybrid:
         assert hybrid > 0.9
         assert np.isclose(plain, 0.9985954886422395, rtol=1e-6)
         assert np.isclose(hybrid, 0.9775653520186011, rtol=1e-6)
+
+
+def full_propagate_hybrid(model, inputs, cfg, state=None):
+    """The hybrid coalition game as one full propagate per coalition."""
+    m = model.modalities
+    if state is None:
+        state = record(model, inputs, cfg)
+    out = propagate(model, state, inputs, cfg)[model.output]
+    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
+    bias_values = {}
+    for mask in range(1 << m):
+        coalition = {i: inputs[i] if mask & (1 << i) else zeros[i] for i in range(m)}
+        bias_values[mask] = propagate(model, state, coalition, cfg)[model.output].bias
+    phis = _shapley_from_values(bias_values, m)
+    per = {i: out.modality(i) + phis[i] for i in range(m)}
+    return bias_values[0], per, out.total()
+
+
+class TestCoalitionSharing:
+    """hybrid_shapley reruns only the layers past the row-separable prefix."""
+
+    @pytest.mark.parametrize(
+        "spec, labels",
+        [
+            (dict(modalities=3, include_attention=True), ["identity-ratio", "uniform-uniform"]),
+            (dict(modalities=4, include_attention=True), ["identity-identity", "uniform-ratio"]),
+            (
+                dict(modalities=2, depth=3),
+                [
+                    "identity-ratio",
+                    "identity-ratio-sum",
+                    "identity-ratio-ratio",
+                    "uniform-uniform-sum",
+                    "uniform-identity-ratio",
+                ],
+            ),
+        ],
+    )
+    def test_bit_identical_to_full_propagates(self, spec, labels):
+        model = small_model(5, **spec)
+        x, y = gen_sample_set(23, model, 2).samples
+        for label in labels:
+            cfg = SplitConfig.parse(label)
+            state = record(model, x, cfg)
+            for inputs, st in ((x, None), (y, state)):
+                attr = hybrid_shapley(model, inputs, cfg, state=st)
+                base, per, total = full_propagate_hybrid(model, inputs, cfg, st)
+                assert np.array_equal(attr.base, base)
+                assert np.array_equal(attr.total, total)
+                for m in range(model.modalities):
+                    assert np.array_equal(attr.per_modality[m], per[m])
+                assert attr.n_forwards == 1 << model.modalities
+
+    def test_frontier_of_attention_net(self):
+        model = small_model(5, modalities=3, include_attention=True)
+        separable = _separable(model, SplitConfig())
+        suffix = [layer for layer in model.layers if layer.id not in separable]
+        assert [layer.id for layer in suffix] == [
+            "attn_scores", "attn_softmax", "attn_out", "head"
+        ]
+        frontier = {i for layer in suffix for i in layer.inputs if i in separable}
+        assert frontier == {"attn_q", "attn_k", "attn_v"}
+
+    def test_sum_rule_makes_branch_activations_mix_rows(self):
+        model = small_model(5)
+        assert "branch0_act" in _separable(model, SplitConfig())
+        mixed = _separable(model, SplitConfig(act_rule="sum"))
+        assert "branch0_act" not in mixed and "branch1_act" not in mixed
+        assert "branch0_norm" in mixed

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from modaldecomp import (
     GenSpec,
+    ModelError,
     forward,
     gen_sample_set,
     gen_synthetic_model,
@@ -101,6 +104,17 @@ class TestSampleSet:
         for k in range(3):
             for m in samples[k]:
                 assert np.array_equal(samples[k][m], back[k][m])
+
+    @pytest.mark.parametrize("doc", [b"[]", b'"samples"'])
+    def test_top_level_not_an_object(self, doc):
+        with pytest.raises(ModelError, match="not a JSON object"):
+            load_samples(doc)
+
+    @pytest.mark.parametrize("samples", [[[1.0, 2.0]], [{"0": {"x": 1}}], [{"zero": [1.0]}], 3])
+    def test_malformed_samples_named(self, samples):
+        doc = json.dumps({"version": 1, "n": 1, "samples": samples}).encode()
+        with pytest.raises(ModelError, match="'samples' is not a list of numeric maps"):
+            load_samples(doc)
 
     def test_needs_one_sample(self):
         model = gen_synthetic_model(2, GenSpec(grid=8, channels=4, depth=1))

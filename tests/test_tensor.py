@@ -3,18 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from modaldecomp.tensor import concat, conv2d, elementwise_add, matmul, scale
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
+from modaldecomp.tensor import concat, conv2d, elementwise_add, scale
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -63,33 +52,6 @@ class TestScale:
     def test_one_identity(self, rng):
         x = rng.normal(size=5)
         assert np.array_equal(scale(x, 1.0), x)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand(self):
-        assert np.array_equal(matmul([[1.0, 2.0]], [[3.0], [4.0]]), [[11.0]])
-
-    def test_against_naive(self, rng):
-        a = rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-12, atol=1e-12)
-
-    def test_associativity(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 2))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.allclose(lhs, rhs, rtol=1e-9)
-
-    def test_inner_mismatch(self):
-        with pytest.raises(ValueError, match="inner extents"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestConv2d:
