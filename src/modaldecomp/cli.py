@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed files,
 impossible configurations), 3 numerical-contract violation (non-finite
-activations or an equality residual above tolerance).
+activations or attributions, or an equality residual above tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -161,6 +162,9 @@ def cmd_shapley(args) -> int:
         attr = hybrid_shapley(model, samples[args.index], _split_config(args), args.redistribution)
     else:
         attr = shapley(model, samples[args.index])
+    residual = attr.efficiency_residual()
+    if not math.isfinite(residual):  # the residual is nan or inf if any attribution is
+        raise DecompositionError(f"Shapley attribution of sample {args.index} is not finite")
     doc = {"version": 1, "index": args.index, "hybrid": bool(args.hybrid)}
     if args.hybrid:
         doc["redistribution"] = args.redistribution
@@ -168,7 +172,7 @@ def cmd_shapley(args) -> int:
     Path(args.out).write_bytes(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
     print(
         f"wrote {args.out} ({attr.n_forwards} coalition evaluations, "
-        f"efficiency residual {attr.efficiency_residual():.3e})"
+        f"efficiency residual {residual:.3e})"
     )
     return EXIT_OK
 

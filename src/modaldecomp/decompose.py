@@ -140,10 +140,6 @@ class DecomposedTensor:
             raise ValueError(f"decomposition needs >=2 stacked components, got {parts.shape}")
         self.parts = parts
 
-    @classmethod
-    def zeros(cls, num_modalities: int, shape) -> "DecomposedTensor":
-        return cls(np.zeros((num_modalities + 1,) + tuple(shape)))
-
     @property
     def num_modalities(self) -> int:
         return self.parts.shape[0] - 1
@@ -160,9 +156,6 @@ class DecomposedTensor:
     @property
     def bias(self) -> np.ndarray:
         return self.parts[-1]
-
-    def component(self, key) -> np.ndarray:
-        return self.bias if key == "bias" else self.modality(int(key))
 
     def total(self) -> np.ndarray:
         return self.parts.sum(axis=0)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import SplitConfig, propagate, record
+from .heatmap import normalize_map
 from .model import ModelGraph
 from .parallel import ordered_map
 from .synth import SampleSet
@@ -166,14 +167,6 @@ class SeparationReport:
         }
 
 
-def _score_map(x: np.ndarray, positive: bool) -> np.ndarray:
-    if not positive:
-        return x
-    xp = np.maximum(x, 0.0)
-    peak = xp.max()
-    return xp / peak if peak > 0 else xp
-
-
 def perturbation_protocol(
     model: ModelGraph,
     samples: SampleSet,
@@ -214,8 +207,9 @@ def perturbation_protocol(
                     pert_inputs[p] = src[p]
                 pert = propagate(model, state, pert_inputs, cfg)[model.output]
                 for o in modalities:
-                    a = _score_map(clean.modality(o), mcfg.positive_parts)
-                    b = _score_map(pert.modality(o), mcfg.positive_parts)
+                    a, b = clean.modality(o), pert.modality(o)
+                    if mcfg.positive_parts:
+                        a, b = normalize_map(a, "max-positive"), normalize_map(b, "max-positive")
                     rows.append((pset, o, *_pearson(a, b), mse(a, b)))
         return rows
 

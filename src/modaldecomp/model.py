@@ -325,6 +325,8 @@ def _layer_from_doc(doc: dict) -> LayerSpec:
                 params[key] = as_tensor(val)
             except (TypeError, ValueError) as e:
                 raise ModelError(f"{where} '{key}' is not a numeric array: {e}") from e
+            if not np.isfinite(params[key]).all():
+                raise ModelError(f"{where} '{key}' holds a non-finite value")
     inputs = doc.get("inputs", [])
     if not (isinstance(inputs, list) and all(isinstance(i, str) for i in inputs)):
         raise ModelError(f"{where} 'inputs' must be a list of layer ids, got {inputs!r}")

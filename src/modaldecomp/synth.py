@@ -53,32 +53,39 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
-def _norm_layer(rng, name, kind, shape):
-    c = shape[0]
+def _conv(rng, name, inputs, c_out, c_in, k):
+    fan_in = c_in * k * k
+    params = {
+        "weight": _uniform(rng, (c_out, c_in, k, k), fan_in),
+        "bias": _uniform(rng, c_out, fan_in),
+        "stride": 1,
+        "padding": k // 2,
+    }
+    return LayerSpec(name, "Conv2d", inputs, params)
+
+
+def _dense(rng, name, inputs, c, scale=None):
+    """Channel mixer; a set scale scales the weight and zeroes the bias."""
+    weight = _uniform(rng, (c, c), c)
+    if scale is None:
+        bias = _uniform(rng, c, c)
+    else:
+        weight, bias = weight * scale, np.zeros(c)
+    return LayerSpec(name, "Dense", inputs, {"weight": weight, "bias": bias})
+
+
+def _norm_layer(rng, name, inputs, kind, shape):
+    # LayerNorm's affine covers the whole shape, the others' one value per channel
+    n = shape if kind == "LayerNorm" else shape[0]
+    params = {}
     if kind == "BatchNorm":
-        params = {
-            "mean": rng.uniform(-0.2, 0.2, size=c),
-            "var": rng.uniform(0.25, 1.0, size=c),
-            "gamma": rng.uniform(0.8, 1.2, size=c),
-            "beta": rng.uniform(-0.1, 0.1, size=c),
-            "eps": 1e-5,
-        }
+        params = {"mean": rng.uniform(-0.2, 0.2, size=n), "var": rng.uniform(0.25, 1.0, size=n)}
     elif kind == "LayerNorm":
-        params = {
-            "axes": tuple(range(len(shape))),
-            "gamma": rng.uniform(0.8, 1.2, size=shape),
-            "beta": rng.uniform(-0.1, 0.1, size=shape),
-            "eps": 1e-5,
-        }
-    elif kind == "InstanceNorm":
-        params = {
-            "gamma": rng.uniform(0.8, 1.2, size=c),
-            "beta": rng.uniform(-0.1, 0.1, size=c),
-            "eps": 1e-5,
-        }
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return LayerSpec(name, kind, [], params)
+        params = {"axes": tuple(range(len(shape)))}
+    params["gamma"] = rng.uniform(0.8, 1.2, size=n)
+    params["beta"] = rng.uniform(-0.1, 0.1, size=n)
+    params["eps"] = 1e-5
+    return LayerSpec(name, kind, inputs, params)
 
 
 def gen_synthetic_model(seed: int, spec: GenSpec | None = None) -> ModelGraph:
@@ -108,135 +115,52 @@ def gen_synthetic_model(seed: int, spec: GenSpec | None = None) -> ModelGraph:
     ch = spec.channels
     layers: list[LayerSpec] = []
 
-    def add(layer, prev=None):
-        if prev is not None:
-            layer.inputs = [prev]
+    def add(layer):
         layers.append(layer)
         return layer.id
 
     branch_tips = []
     for m in range(spec.modalities):
         tip = add(LayerSpec(f"in{m}", "Input", [], {"modality": m, "shape": (1, g, g)}))
-        tip = add(
-            LayerSpec(
-                f"branch{m}_conv",
-                "Conv2d",
-                [],
-                {
-                    "weight": _uniform(rng, (ch, 1, 3, 3), 9),
-                    "bias": _uniform(rng, ch, 9),
-                    "stride": 1,
-                    "padding": 1,
-                },
-            ),
-            tip,
-        )
+        tip = add(_conv(rng, f"branch{m}_conv", [tip], ch, 1, 3))
         if spec.norms:
-            tip = add(_norm_layer(rng, f"branch{m}_norm", "BatchNorm", (ch, g, g)), tip)
+            tip = add(_norm_layer(rng, f"branch{m}_norm", [tip], "BatchNorm", (ch, g, g)))
         if spec.activations:
-            tip = add(LayerSpec(f"branch{m}_act", "ReLU", [], {}), tip)
+            tip = add(LayerSpec(f"branch{m}_act", "ReLU", [tip], {}))
         branch_tips.append(tip)
 
     if len(branch_tips) == 1:
         # ConcatFusion needs two or more inputs; feed the single branch twice
         branch_tips = branch_tips * 2
     fuse = add(LayerSpec("fuse_concat", "ConcatFusion", list(branch_tips), {"axis": 0}))
-    cat_ch = ch * len(branch_tips)
-    fuse = add(
-        LayerSpec(
-            "fuse_conv",
-            "Conv2d",
-            [],
-            {
-                "weight": _uniform(rng, (ch, cat_ch, 3, 3), cat_ch * 9),
-                "bias": _uniform(rng, ch, cat_ch * 9),
-                "stride": 1,
-                "padding": 1,
-            },
-        ),
-        fuse,
-    )
+    fuse = add(_conv(rng, "fuse_conv", [fuse], ch, ch * len(branch_tips), 3))
 
     tip = fuse
     for b in range(spec.depth):
         if b % 2 == 0:
-            tip = add(
-                LayerSpec(
-                    f"block{b}_conv",
-                    "Conv2d",
-                    [],
-                    {
-                        "weight": _uniform(rng, (ch, ch, 3, 3), ch * 9),
-                        "bias": _uniform(rng, ch, ch * 9),
-                        "stride": 1,
-                        "padding": 1,
-                    },
-                ),
-                tip,
-            )
+            tip = add(_conv(rng, f"block{b}_conv", [tip], ch, ch, 3))
         else:
-            tip = add(
-                LayerSpec(
-                    f"block{b}_dense",
-                    "Dense",
-                    [],
-                    {"weight": _uniform(rng, (ch, ch), ch), "bias": _uniform(rng, ch, ch)},
-                ),
-                tip,
-            )
+            tip = add(_dense(rng, f"block{b}_dense", [tip], ch))
         if spec.norms:
             kind = _NORM_KINDS[spec.norms[b % len(spec.norms)]]
-            tip = add(_norm_layer(rng, f"block{b}_norm", kind, (ch, g, g)), tip)
+            tip = add(_norm_layer(rng, f"block{b}_norm", [tip], kind, (ch, g, g)))
         if spec.activations:
             kind = _ACT_KINDS[spec.activations[b % len(spec.activations)]]
-            tip = add(LayerSpec(f"block{b}_act", kind, [], {}), tip)
+            tip = add(LayerSpec(f"block{b}_act", kind, [tip], {}))
 
     tip = add(LayerSpec("trunk_residual", "ResidualAdd", [fuse, tip], {}))
 
     if spec.include_attention:
         # row-token attention per channel: scores over the last spatial axis
         qk_scale = 1.0 / np.sqrt(g)
-        q = add(
-            LayerSpec(
-                "attn_q",
-                "Dense",
-                [tip],
-                {"weight": _uniform(rng, (ch, ch), ch) * qk_scale, "bias": np.zeros(ch)},
-            )
-        )
-        k = add(
-            LayerSpec(
-                "attn_k",
-                "Dense",
-                [tip],
-                {"weight": _uniform(rng, (ch, ch), ch) * qk_scale, "bias": np.zeros(ch)},
-            )
-        )
-        v = add(
-            LayerSpec(
-                "attn_v",
-                "Dense",
-                [tip],
-                {"weight": _uniform(rng, (ch, ch), ch), "bias": _uniform(rng, ch, ch)},
-            )
-        )
+        q = add(_dense(rng, "attn_q", [tip], ch, qk_scale))
+        k = add(_dense(rng, "attn_k", [tip], ch, qk_scale))
+        v = add(_dense(rng, "attn_v", [tip], ch))
         s = add(LayerSpec("attn_scores", "MatMul", [q, k], {"transpose_b": True}))
         s = add(LayerSpec("attn_softmax", "Softmax", [s], {"axis": 2}))
         tip = add(LayerSpec("attn_out", "MatMul", [s, v], {"transpose_b": False}))
 
-    tip = add(
-        LayerSpec(
-            "head",
-            "Conv2d",
-            [tip],
-            {
-                "weight": _uniform(rng, (1, ch, 1, 1), ch),
-                "bias": _uniform(rng, 1, ch),
-                "stride": 1,
-                "padding": 0,
-            },
-        )
-    )
+    tip = add(_conv(rng, "head", [tip], 1, ch, 1))
     return ModelGraph(layers, tip, spec.modalities)
 
 
@@ -255,31 +179,23 @@ class SampleSet:
 
 
 def _blob_field(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Smoothed random field: a handful of signed Gaussian blobs."""
-    if len(shape) >= 2:
-        lead = shape[:-2]
-        h, w = shape[-2], shape[-1]
-        yy, xx = np.mgrid[0:h, 0:w].astype(float)
-        out = np.zeros(shape)
-        for idx in np.ndindex(lead) if lead else [()]:
-            f = np.zeros((h, w))
-            for _ in range(4):
-                amp = rng.uniform(0.5, 2.0) * (1.0 if rng.integers(0, 2) else -1.0)
-                cy = rng.uniform(0, h)
-                cx = rng.uniform(0, w)
-                sg = rng.uniform(max(1.0, h / 16), max(2.0, h / 6))
-                f += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sg * sg))
-            out[idx] = f
-        return out
-    n = shape[0]
-    t = np.arange(n, dtype=float)
-    f = np.zeros(n)
-    for _ in range(4):
-        amp = rng.uniform(0.5, 2.0) * (1.0 if rng.integers(0, 2) else -1.0)
-        c = rng.uniform(0, n)
-        sg = rng.uniform(max(1.0, n / 16), max(2.0, n / 6))
-        f += amp * np.exp(-((t - c) ** 2) / (2 * sg * sg))
-    return f
+    """Smoothed random field: a handful of signed Gaussian blobs per map.
+
+    A map spans the last two axes (the only axis of a 1-d shape); every map
+    of a stacked shape gets its own blobs.
+    """
+    spatial = shape[-2:]
+    grids = np.indices(spatial, dtype=float)
+    out = np.zeros(shape)
+    for idx in np.ndindex(shape[:-2]):
+        f = out[idx]  # one map, a view
+        for _ in range(4):
+            amp = rng.uniform(0.5, 2.0) * (1.0 if rng.integers(0, 2) else -1.0)
+            centres = [rng.uniform(0, n) for n in spatial]
+            sg = rng.uniform(max(1.0, spatial[0] / 16), max(2.0, spatial[0] / 6))
+            d2 = sum((x - c) ** 2 for x, c in zip(grids, centres))
+            f += amp * np.exp(-d2 / (2 * sg * sg))
+    return out
 
 
 def gen_sample_set(seed: int, model: ModelGraph, n: int) -> SampleSet:

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "as_tensor",
     "elementwise_add",
-    "scale",
     "conv2d",
     "concat",
 ]
@@ -31,11 +30,6 @@ def elementwise_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"elementwise_add shape mismatch: {a.shape} vs {b.shape}")
     return a + b
-
-
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    """Multiply every element by the scalar s."""
-    return as_tensor(a) * float(s)
 
 
 def conv2d(

@@ -293,6 +293,37 @@ class TestShapley:
                 atol=1e-12,
             )
 
+    def test_non_finite_weight_exits_2(self, workdir):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["layers"][1]["weight"][0][0][0][0] = float("nan")
+        (workdir / "nanweight.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            ["shapley", "--model", "nanweight.json", "--samples", "samples.json",
+             "--out", "nan_attr.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "'branch0_conv' (Conv2d) 'weight' holds a non-finite value")
+        assert not (workdir / "nan_attr.json").exists()
+
+    @pytest.mark.parametrize("hybrid", [[], ["--hybrid"]], ids=["plain", "hybrid"])
+    def test_non_finite_sample_exits_3(self, workdir, hybrid):
+        out = f"inf_attr{len(hybrid)}.json"
+        doc = json.loads((workdir / "samples.json").read_text())
+        doc["samples"][0]["0"][0][0][0] = float("inf")
+        (workdir / "infsample.json").write_text(json.dumps(doc, separators=(",", ":")))
+        proc = run_cli(
+            ["shapley", "--model", "model.json", "--samples", "infsample.json", *hybrid,
+             "--out", out],
+            workdir,
+            check=False,
+        )
+        assert proc.returncode == 3
+        # numpy's RuntimeWarnings may precede the message
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / out).exists()
+
 
 class TestDeterminism:
     def test_every_command_byte_identical_across_runs_and_threads(self, workdir):

@@ -195,6 +195,9 @@ class TestSerialization:
             ("Dense", "weight", [[1.0], [1.0, 2.0]], "is not a numeric array"),
             ("Dense", "inputs", "trunk_residual", "must be a list of layer ids"),
             ("Dense", "inputs", [["trunk_residual"]], "must be a list of layer ids"),
+            ("Dense", "bias", [0.5, float("inf")], "holds a non-finite value"),
+            ("Conv2d", "weight", [[[[float("nan")]]]], "holds a non-finite value"),
+            ("BatchNorm", "var", [float("-inf")], "holds a non-finite value"),
         ],
     )
     def test_mistyped_field_named(self, kind, key, value, message):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from modaldecomp import (
     GenSpec,
+    LayerSpec,
     ModelError,
+    ModelGraph,
     forward,
     gen_sample_set,
     gen_synthetic_model,
@@ -126,3 +129,53 @@ class TestSampleSet:
         samples = gen_sample_set(1, model, 2)
         for m in range(3):
             assert samples[0][m].shape == model.input_shape(m)
+
+
+# sha256 of save_model + save_samples; a change to the generator that moves any
+# RNG draw or float operation changes every model and sample built on it
+PINNED_SPECS = {
+    "default": (
+        GenSpec(),
+        "e4b3e5a53123a30c930b77c754a4364415597cd3b0cff450f5d5f16ede541a7c",
+    ),
+    "m4-attention": (
+        GenSpec(modalities=4, grid=8, channels=4, include_attention=True),
+        "d4203bf132ff86a214e1bd8f8fcfeb8db4b9a9b569fa1636bd5d8770aa82f0c1",
+    ),
+    "m1": (
+        GenSpec(modalities=1, grid=8, channels=4),
+        "f096e68118ad72310a974f58dc4c07aeada8c341da0e5f217466ba0b81bfd35b",
+    ),
+    "affine-gelu": (
+        GenSpec(grid=8, channels=4, norms=(), activations=("gelu",)),
+        "5df8ea6c77cada0af330722121de5bcd18fdfa23cae477d09978ff718ba590d1",
+    ),
+    "grid1": (
+        GenSpec(grid=1, channels=4, depth=2),
+        "767b688f52c4baa6ad35cffbd9bde26f72f05b17d65edc9af8e5ef860ba39378",
+    ),
+}
+
+
+def _digest(model, samples) -> str:
+    return hashlib.sha256(save_model(model) + save_samples(samples)).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_generator_bytes_pinned(name):
+    spec, digest = PINNED_SPECS[name]
+    model = gen_synthetic_model(11, spec)
+    assert _digest(model, gen_sample_set(5, model, 3)) == digest
+
+
+def test_one_dimensional_samples_pinned():
+    layers = [
+        LayerSpec("in0", "Input", [], {"modality": 0, "shape": (16,)}),
+        LayerSpec("in1", "Input", [], {"modality": 1, "shape": (9,)}),
+        LayerSpec("cat", "ConcatFusion", ["in0", "in1"], {"axis": 0}),
+    ]
+    model = ModelGraph(layers, "cat", 2)
+    samples = gen_sample_set(5, model, 3)
+    assert samples[0][0].shape == (16,) and samples[0][1].shape == (9,)
+    digest = "bdf4a6ace0506d73fed02bbdbd1b47381a84f0b679802d85a9ea6360a6dafc00"
+    assert _digest(model, samples) == digest

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from modaldecomp.tensor import concat, conv2d, elementwise_add, scale
+from modaldecomp.tensor import concat, conv2d, elementwise_add
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -39,19 +39,6 @@ class TestElementwiseAdd:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             elementwise_add(np.zeros(2), np.zeros(3))
-
-
-class TestScale:
-    def test_basic(self):
-        assert np.array_equal(scale([1.0, 2.0], 2.0), [2.0, 4.0])
-
-    def test_zero(self, rng):
-        x = rng.normal(size=5)
-        assert np.array_equal(scale(x, 0.0), np.zeros(5))
-
-    def test_one_identity(self, rng):
-        x = rng.normal(size=5)
-        assert np.array_equal(scale(x, 1.0), x)
 
 
 class TestConv2d:
