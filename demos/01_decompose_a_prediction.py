@@ -1,8 +1,8 @@
 # Decompose one prediction of a two-sensor fusion net into per-modality maps.
 #
-# A single recorded forward pass freezes every non-linearity; pushing the
-# inputs through the frozen net as separate component streams splits the
-# prediction exactly: m0 + m1 + bias == original output, at every layer.
+# One sweep pushes the inputs through the net as separate component streams,
+# freezing each non-linearity at the sum of its input streams as it goes; this
+# splits the prediction exactly: m0 + m1 + bias == original output, at every layer.
 
 import numpy as np
 
@@ -17,7 +17,7 @@ out = result.output
 print(f"model: {len(model.layers)} layers, {model.modalities} modalities")
 print(f"output shape: {out.shape}, components: {out.parts.shape[0]}")
 
-# the components really do sum back to the recorded prediction
+# the components really do sum back to the prediction of a plain forward pass
 residuals = md.equality_residuals(model, result.components, result.state)
 print(f"max per-layer equality residual: {max(residuals.values()):.3e}")
 

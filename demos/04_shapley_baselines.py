@@ -1,9 +1,10 @@
 # Coalition-based attribution over modalities, and the hybrid variant.
 #
 # Exact Shapley values need 2^M forward passes of the original model (absent
-# modalities zeroed). The decomposition needs two passes total and its bias
-# component can itself be redistributed by a small Shapley game, keeping
-# efficiency while staying stable under cross-modal replacement.
+# modalities zeroed). The decomposition needs one sweep of M+1 component
+# streams, and its bias component can itself be redistributed by a small
+# Shapley game, keeping efficiency while staying stable under cross-modal
+# replacement.
 
 import numpy as np
 

@@ -1,10 +1,10 @@
 """Forward-only runtime and exact modality decomposition for fusion networks.
 
-One recorded forward pass freezes every non-linear layer into a linear
-surrogate; propagating per-modality components (plus a bias component)
-through the frozen network splits the original prediction exactly into
-per-sensor contributions. Perturbation metrics, bias-splitting variants and
-Shapley baselines quantify how cleanly the modalities separate.
+One sweep propagates per-modality components (plus a bias component)
+through the network, freezing every non-linear layer into a linear surrogate
+at the sum of its input components; this splits the original prediction
+exactly into per-sensor contributions. Perturbation metrics, bias-splitting
+variants and Shapley baselines quantify how cleanly the modalities separate.
 """
 
 from .decompose import (

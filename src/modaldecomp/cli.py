@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .decompose import (
     EQUALITY_TOL,
     DecompositionError,
@@ -247,7 +249,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # a non-finite value shows as the error line alone
+            return args.fn(args)
     except DecompositionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT

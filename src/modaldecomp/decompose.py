@@ -1,18 +1,18 @@
-"""Exact per-modality decomposition of a recorded forward pass.
+"""Exact per-modality decomposition of a fusion network's prediction.
 
-The engine runs in two passes. The record pass evaluates the network once on
-the full multimodal input and caches what the linearization needs: the
-output-to-input chord ratio of every activation and softmax layer, and the
-input statistics of every LayerNorm/InstanceNorm. The second pass pushes a
-stack of components (one per modality plus a trailing bias component)
-through the frozen linear surrogate of each layer.
+The engine pushes a stack of components (one per modality plus a trailing
+bias component) through the frozen linear surrogate of each layer in one
+sweep. Where a layer first needs recorded values, the sweep records them from
+the sum of its input stack, which is the layer's input activation: the chord
+ratio (output over input) of every activation and softmax layer, and the
+input statistics of every LayerNorm/InstanceNorm.
 
 Every element-wise layer freezes into one rule (see _frozen_rule): a
 homogeneous linear map applied to each component, a recorded constant, and
 a routing that sends the constant to the bias component ('identity') or
 spreads it over all components ('uniform'). Fusion and structural layers
 (concatenation, residual add, bilinear matmul) act on the stack directly.
-At every layer the components sum to the recorded activation; the activation
+At every layer the components sum to the layer's activation; the activation
 splitting rule (act_rule) may further re-route activation bias mass between
 the two modalities.
 """
@@ -68,6 +68,7 @@ _LN_RULES = ("ratio", "identity", "uniform")
 _ACT_RULES = ("none", "sum", "ratio")
 
 _ACTIVATION_KINDS = ("ReLU", "GELU", "Softmax")
+_CACHED_KINDS = _ACTIVATION_KINDS + ("LayerNorm", "InstanceNorm")
 _STRUCTURAL_KINDS = ("Input", "ConcatFusion", "ResidualAdd", "MatMul")
 
 
@@ -167,7 +168,7 @@ class DecomposedTensor:
 
 @dataclass
 class RecordedState:
-    """Pass-1 cache: every layer's activation plus linearization data.
+    """The recorded input and the linearization data of a decomposition.
 
     For activation/softmax layers the cache holds the chord ratio and the
     per-neuron residual that keeps the frozen layer exact at the recorded
@@ -175,7 +176,7 @@ class RecordedState:
     variance over the normalization axes (kept with broadcastable dims).
     """
 
-    activations: dict[str, np.ndarray]
+    inputs: dict[int, np.ndarray]
     caches: dict[str, dict[str, np.ndarray]]
     epsilon: float
 
@@ -196,28 +197,18 @@ def _chord_ratio(pre: np.ndarray, out: np.ndarray, eps: float):
     return c, r
 
 
-def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | None = None) -> RecordedState:
-    """Run the record pass under the full multimodal input.
+def _layer_cache(layer: LayerSpec, pre: np.ndarray, eps: float) -> dict[str, np.ndarray]:
+    """What the frozen rule of an activation/softmax or norm layer needs at input pre."""
+    if layer.kind in _ACTIVATION_KINDS:
+        c, r = _chord_ratio(pre, eval_layer(layer, [pre]), eps)
+        return {"ratio": c, "residual": r}
+    mean, var = norm_stats(pre, norm_axes(layer, pre.ndim))
+    return {"mean": mean, "var": var}
 
-    Raises DecompositionError naming the first layer whose activation is not
-    finite. BatchNorm needs no cache: its statistics are already fixed.
-    """
-    cfg = cfg or SplitConfig()
-    acts = forward(model, inputs)
-    for layer in model.layers:
-        if not np.all(np.isfinite(acts[layer.id])):
-            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
-    caches: dict[str, dict[str, np.ndarray]] = {}
-    for layer in model.layers:
-        if layer.kind in _ACTIVATION_KINDS:
-            pre = acts[layer.inputs[0]]
-            c, r = _chord_ratio(pre, acts[layer.id], cfg.epsilon)
-            caches[layer.id] = {"ratio": c, "residual": r}
-        elif layer.kind in ("LayerNorm", "InstanceNorm"):
-            pre = acts[layer.inputs[0]]
-            mean, var = norm_stats(pre, norm_axes(layer, pre.ndim))
-            caches[layer.id] = {"mean": mean, "var": var}
-    return RecordedState(acts, caches, cfg.epsilon)
+
+def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | None = None) -> RecordedState:
+    """The linearization recorded under the full multimodal input (see decompose)."""
+    return decompose(model, inputs, cfg).state
 
 
 # --- frozen per-layer rules on component stacks ---------------------------
@@ -459,11 +450,14 @@ def _propagate_layers(
     """Fill comp with the component stack of each of layers, in order.
 
     comp must already hold the stacks of every upstream layer outside layers.
+    A cache that state lacks is recorded from the sum of the input stack.
     """
     M = model.modalities
     for layer in layers:
         ups = [comp[i] for i in layer.inputs]
         kind = layer.kind
+        if kind in _CACHED_KINDS and layer.id not in state.caches:
+            state.caches[layer.id] = _layer_cache(layer, ups[0].total(), state.epsilon)
         if kind == "Input":
             out = split_input(eval_layer(layer, [], inputs), layer.params["modality"], M)
         elif kind == "ConcatFusion":
@@ -486,10 +480,11 @@ def propagate(
     inputs: dict[int, np.ndarray],
     cfg: SplitConfig | None = None,
 ) -> dict[str, DecomposedTensor]:
-    """Push component stacks through the linearized network.
+    """Push component stacks through a recorded linearization.
 
-    The state stays fixed: this is how perturbed inputs are evaluated against
-    a linearization recorded from clean inputs.
+    The state is only read: this is how perturbed inputs are evaluated against
+    a linearization recorded from clean inputs. Raises ValueError naming the
+    first layer whose cache the state lacks, as a state of another model does.
     """
     cfg = cfg or SplitConfig()
     _check_config(model, cfg)
@@ -497,6 +492,9 @@ def propagate(
         raise ValueError(
             f"state was recorded with epsilon {state.epsilon}, config has {cfg.epsilon}"
         )
+    for layer in model.layers:
+        if layer.kind in _CACHED_KINDS and layer.id not in state.caches:
+            raise ValueError(f"state holds no cache for layer '{layer.id}' of this model")
     return _propagate_layers(model, model.layers, state, inputs, cfg, {})
 
 
@@ -512,11 +510,14 @@ def decompose(
     inputs: dict[int, np.ndarray],
     cfg: SplitConfig | None = None,
 ) -> DecompositionResult:
-    """Record then propagate: the full two-pass decomposition."""
+    """Record and propagate in one sweep; raises DecompositionError at a non-finite layer."""
     cfg = cfg or SplitConfig()
     _check_config(model, cfg)
-    state = record(model, inputs, cfg)
-    comp = propagate(model, state, inputs, cfg)
+    state = RecordedState(dict(inputs), {}, cfg.epsilon)
+    comp = _propagate_layers(model, model.layers, state, inputs, cfg, {})
+    for layer in model.layers:
+        if not np.all(np.isfinite(comp[layer.id].total())):
+            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
     return DecompositionResult(comp, comp[model.output], state)
 
 
@@ -525,11 +526,12 @@ def equality_residuals(
     components: dict[str, DecomposedTensor],
     state: RecordedState,
 ) -> dict[str, float]:
-    """Per-layer relative residual between component sums and recorded activations."""
+    """Per-layer relative residual between component sums and forward at state.inputs."""
+    acts = forward(model, state.inputs)
     out = {}
     for layer in model.layers:
         total = components[layer.id].total()
-        ref = state.activations[layer.id]
+        ref = acts[layer.id]
         num = float(np.max(np.abs(total - ref))) if total.size else 0.0
         out[layer.id] = num / (1.0 + float(np.max(np.abs(ref))))
     return out

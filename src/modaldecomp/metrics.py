@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import SplitConfig, propagate, record
+from .decompose import SplitConfig, decompose, propagate
 from .heatmap import normalize_map
 from .model import ModelGraph
 from .parallel import ordered_map
@@ -196,8 +196,9 @@ def perturbation_protocol(
 
     def one_sample(k: int):
         inputs = samples[k]
-        state = record(model, inputs, cfg)
-        clean = propagate(model, state, inputs, cfg)[model.output]
+        res = decompose(model, inputs, cfg)
+        state, clean = res.state, res.output
+        del res  # the clean run's other stacks are not needed past this point
         rows = []
         for pset in perturb_sets:
             for j in range(1, mcfg.offset_count + 1):

@@ -315,6 +315,8 @@ def _layer_from_doc(doc: dict) -> LayerSpec:
         if key in tuples:
             if not isinstance(val, list) or not all(_is_int(v) for v in val):
                 raise ModelError(f"{where} '{key}' must be a list of integers, got {val!r}")
+            if kind == "Input" and not (val and min(val) > 0):
+                raise ModelError(f"{where} '{key}' must be a non-empty list of positive integers, got {val!r}")
             params[key] = tuple(val)
         elif key in scalars:
             number = _is_int(val) or (scalars[key] is float and isinstance(val, float))

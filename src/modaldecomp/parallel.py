@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 
 __all__ = ["thread_count", "ordered_map"]
 
@@ -32,4 +33,5 @@ def ordered_map(fn, items) -> list:
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+        # each call runs in a copy of the caller's context, so np.errstate reaches the workers
+        return list(pool.map(lambda ctx, x: ctx.run(fn, x), [copy_context() for _ in items], items))

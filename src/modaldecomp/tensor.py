@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "as_tensor",
-    "elementwise_add",
     "conv2d",
     "concat",
 ]
@@ -21,15 +20,6 @@ __all__ = [
 def as_tensor(values) -> np.ndarray:
     """Coerce nested lists or arrays to a C-contiguous float64 array."""
     return np.ascontiguousarray(values, dtype=np.float64)
-
-
-def elementwise_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise sum of two equally shaped tensors."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"elementwise_add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
 
 
 def conv2d(

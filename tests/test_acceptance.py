@@ -135,7 +135,7 @@ def test_criterion_4_affine_oracle():
         res = decompose(model, x)
         zeros = {m: np.zeros(model.input_shape(m)) for m in range(model.modalities)}
         f0 = forward(model, zeros)[model.output]
-        peak = 1.0 + np.max(np.abs(res.state.activations[model.output]))
+        peak = 1.0 + np.max(np.abs(forward(model, x)[model.output]))
         for m in range(model.modalities):
             alone = dict(zeros)
             alone[m] = x[m]
@@ -153,7 +153,7 @@ def test_criterion_5_superposition():
     shape = (2, 3, 3)
     worst = 0.0
     for kind in ELEMENT_KINDS:
-        layer, state = build_case(kind, rng)
+        layer, state, _ = build_case(kind, rng)
 
         def modality0_out(x):
             pad = np.zeros((2,) + x.shape)
@@ -252,7 +252,7 @@ def test_criterion_8_hand_traces():
         out = np.maximum(pre, 0.0)
         c, r = _chord_ratio(pre, out, eps)
         layer = LayerSpec("y", "ReLU", ["x"], {})
-        state = RecordedState({"x": pre, "y": out}, {"y": {"ratio": c, "residual": r}}, eps)
+        state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, eps)
         return lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule)), out
 
     got, out = run([-1.0, 2.0, 1.0], "sum")

@@ -71,6 +71,17 @@ class TestGenModel:
         assert_validation_error(proc, flag[2:])
         assert not (workdir / "empty.json").exists()
 
+    def test_empty_input_shape_exits_2(self, workdir):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["layers"][0]["shape"] = []
+        (workdir / "emptyshape.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            ["gen-samples", "--model", "emptyshape.json", "--out", "s_empty.json"], workdir, check=False
+        )
+        assert_validation_error(proc, "'in0' (Input) 'shape' must be a non-empty list of positive integers")
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert not (workdir / "s_empty.json").exists()
+
 
 class TestDecompose:
     def test_report_contract(self, workdir):
@@ -96,7 +107,7 @@ class TestDecompose:
         assert proc.returncode == 2
 
     def test_numerical_contract_violation_exits_3(self, workdir):
-        # a non-finite input value must fail the record pass, naming the layer
+        # a non-finite input value must fail the decomposition, naming the layer
         doc = json.loads((workdir / "samples.json").read_text())
         doc["samples"][0]["0"][0][0][0] = float("inf")
         (workdir / "poisoned.json").write_text(json.dumps(doc, separators=(",", ":")))
@@ -107,6 +118,8 @@ class TestDecompose:
         )
         assert proc.returncode == 3
         assert "non-finite" in proc.stderr and "in0" in proc.stderr
+        # the error line is all of stderr: no numpy warnings come before it
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
     def test_samples_document_without_samples_exits_2(self, workdir):
         (workdir / "nosamples.json").write_text(json.dumps({"version": 1, "n": 1}))
@@ -241,6 +254,23 @@ class TestMetrics:
         labels = {(c["perturbed"], c["observed"]) for c in doc["reports"][0]["cells"]}
         assert ("m0_pm1_p", "m2") in labels
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_sample_exits_3(self, workdir, threads):
+        # worker threads see the command's numpy error state, so stderr is the error line alone
+        doc = json.loads((workdir / "samples.json").read_text())
+        doc["samples"][0]["0"][0][0][0] = float("inf")
+        (workdir / "infmetrics.json").write_text(json.dumps(doc, separators=(",", ":")))
+        proc = run_cli(
+            ["metrics", "--model", "model.json", "--samples", "infmetrics.json",
+             "--stride", "1", "--offsets", "2", "--out", "inf_table.json"],
+            workdir,
+            threads=threads,
+            check=False,
+        )
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        assert "in0" in proc.stderr
+
     def test_unknown_modality_exits_2(self, workdir):
         proc = run_cli(
             [
@@ -319,9 +349,8 @@ class TestShapley:
             check=False,
         )
         assert proc.returncode == 3
-        # numpy's RuntimeWarnings may precede the message
-        assert proc.stderr.splitlines()[-1].startswith("error:")
-        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        assert "finite" in proc.stderr
         assert not (workdir / out).exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from modaldecomp import (
     split_input,
 )
 from modaldecomp.decompose import _chord_ratio, _frozen_rule
-from modaldecomp.model import _softmax
+from modaldecomp.model import _softmax, norm_axes, norm_stats
 
 from conftest import scalar_pair_model, small_model
 
@@ -74,10 +75,13 @@ class TestRecord:
         assert np.all(np.isfinite(c)) and np.all(np.isfinite(r))
 
     def test_records_all_activations(self):
-        model = small_model()
+        # one cache per activation, softmax and LayerNorm/InstanceNorm layer, none else
+        model = small_model(include_attention=True)
         x = gen_sample_set(1, model, 1)[0]
         state = record(model, x)
-        assert set(state.activations) == {l.id for l in model.layers}
+        cached = {"ReLU", "GELU", "Softmax", "LayerNorm", "InstanceNorm"}
+        assert set(state.caches) == {l.id for l in model.layers if l.kind in cached}
+        assert state.inputs.keys() == x.keys()
 
     def test_nonfinite_activation_named(self):
         model = scalar_pair_model(w0=1.0, w1=1.0, bias=0.0)
@@ -235,7 +239,7 @@ class TestNormRulesOnNets:
         )
         pre = np.full((1, 2, 2), 3.0)
         state = RecordedState(
-            {"x": pre, "y": pre * 0},
+            {},
             {"y": {"mean": pre.mean(axis=(1, 2), keepdims=True), "var": np.ones((1, 1, 1))}},
             EPS,
         )
@@ -258,7 +262,7 @@ class TestNormRulesOnNets:
         pre = rng.normal(size=(2, 3))
         mean = pre.mean(keepdims=True)
         var = ((pre - mean) ** 2).mean(keepdims=True)
-        state = RecordedState({"x": pre}, {"y": {"mean": mean, "var": var}}, EPS)
+        state = RecordedState({}, {"y": {"mean": mean, "var": var}}, EPS)
         parts = rng.normal(size=(3, 2, 3))
         parts[2] = pre - parts[0] - parts[1]
         out = lin_layernorm(layer, DecomposedTensor(parts), state, SplitConfig(ln_rule="ratio"))
@@ -272,7 +276,7 @@ class TestSoftmaxRule:
         out_ref = _softmax(pre, 0)
         c, r = _chord_ratio(pre, out_ref, EPS)
         layer = LayerSpec("y", "Softmax", ["x"], {"axis": 0})
-        state = RecordedState({"x": pre, "y": out_ref}, {"y": {"ratio": c, "residual": r}}, EPS)
+        state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
         d = DecomposedTensor(np.stack([pre * 0.25, pre * 0.75, np.zeros(2)]))
         out = lin_softmax(layer, d, state)
         assert np.allclose(c, 0.5 / (1.0 + EPS))
@@ -283,7 +287,7 @@ class TestSoftmaxRule:
         out_ref = _softmax(pre, 0)
         c, r = _chord_ratio(pre, out_ref, EPS)
         layer = LayerSpec("y", "Softmax", ["x"], {"axis": 0})
-        state = RecordedState({"x": pre, "y": out_ref}, {"y": {"ratio": c, "residual": r}}, EPS)
+        state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
         d = DecomposedTensor(np.stack([np.ones(2), -np.ones(2), np.zeros(2)]))
         out = lin_softmax(layer, d, state)
         assert np.all(np.isfinite(out.parts))
@@ -295,7 +299,7 @@ class TestSoftmaxRule:
         out_ref = _softmax(pre, 0)
         c, r = _chord_ratio(pre, out_ref, EPS)
         layer = LayerSpec("y", "Softmax", ["x"], {"axis": 0})
-        state = RecordedState({"x": pre, "y": out_ref}, {"y": {"ratio": c, "residual": r}}, EPS)
+        state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
         parts = rng.normal(size=(3, 6))
         parts[2] = pre - parts[0] - parts[1]
         out = lin_softmax(layer, DecomposedTensor(parts), state)
@@ -350,7 +354,7 @@ class TestDecompose:
         res = decompose(model, x)
         zeros = {m: np.zeros(model.input_shape(m)) for m in range(model.modalities)}
         f0 = forward(model, zeros)[model.output]
-        peak = 1.0 + np.max(np.abs(res.state.activations[model.output]))
+        peak = 1.0 + np.max(np.abs(forward(model, x)[model.output]))
         for m in range(model.modalities):
             alone = dict(zeros)
             alone[m] = x[m]
@@ -418,3 +422,107 @@ class TestSeparation:
             assert np.array_equal(alone.modality(m), full.modality(m))
             assert np.array_equal(alone.bias, full.bias)
             assert np.all(alone.modality(1 - m) == 0.0)
+
+
+def two_pass(model, x, cfg):
+    """The reference: a plain forward, the caches from its activations, then propagate."""
+    acts = forward(model, x)
+    caches = {}
+    for layer in model.layers:
+        if layer.kind in ("ReLU", "GELU", "Softmax"):
+            c, r = _chord_ratio(acts[layer.inputs[0]], acts[layer.id], cfg.epsilon)
+            caches[layer.id] = {"ratio": c, "residual": r}
+        elif layer.kind in ("LayerNorm", "InstanceNorm"):
+            pre = acts[layer.inputs[0]]
+            mean, var = norm_stats(pre, norm_axes(layer, pre.ndim))
+            caches[layer.id] = {"mean": mean, "var": var}
+    return propagate(model, RecordedState(dict(x), caches, cfg.epsilon), x, cfg)
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize(
+        "overrides, cfg",
+        [
+            (dict(), SplitConfig()),
+            (dict(), SplitConfig("uniform", "identity")),
+            (dict(norms=("layernorm",), activations=("gelu",)), SplitConfig(ln_rule="uniform")),
+            (dict(include_attention=True), SplitConfig()),
+            (dict(include_attention=True), SplitConfig(act_rule="sum")),
+            (dict(), SplitConfig(act_rule="ratio")),
+            (dict(modalities=3), SplitConfig()),
+            (dict(modalities=4, include_attention=True), SplitConfig("uniform", "uniform")),
+        ],
+        ids=["plain", "uniform-identity", "layernorm-gelu", "attention", "attention-sum",
+             "act-ratio", "m3", "m4-attention"],
+    )
+    def test_matches_two_pass_reference(self, overrides, cfg):
+        model = small_model(11, depth=3, **overrides)
+        x = gen_sample_set(21, model, 1)[0]
+        ref = two_pass(model, x, cfg)
+        res = decompose(model, x, cfg)
+        for layer in model.layers:
+            got, want = res.components[layer.id].parts, ref[layer.id].parts
+            assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want))), layer.id
+
+    def test_runs_no_plain_forward(self, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("decompose ran a plain forward")
+
+        model = small_model(include_attention=True)
+        x = gen_sample_set(1, model, 1)[0]
+        monkeypatch.setattr(sys.modules["modaldecomp.decompose"], "forward", no_forward)
+        decompose(model, x)
+
+    def test_equality_residuals_flag_a_shifted_row(self):
+        # the reference is a plain forward, not the stacks' own sum
+        model = small_model()
+        x = gen_sample_set(3, model, 1)[0]
+        res = decompose(model, x)
+        target = model.layers[len(model.layers) // 2].id
+        res.components[target].parts[0] += 1e-6
+        residuals = equality_residuals(model, res.components, res.state)
+        assert residuals[target] > 1e-9
+        assert all(v <= 1e-9 for lid, v in residuals.items() if lid != target)
+
+    def test_equality_residuals_compare_with_recorded_input(self):
+        # stacks pushed from another input sum to that input's activations, not the state's
+        model = small_model()
+        samples = gen_sample_set(3, model, 2)
+        state = record(model, samples[0])
+        comp = propagate(model, state, samples[1])
+        assert max(equality_residuals(model, comp, state).values()) > 1e-3
+
+    def test_inf_sample_names_input_layer(self):
+        model = small_model()
+        x = gen_sample_set(3, model, 1)[0]
+        x[1] = x[1].copy()
+        x[1][0, 0, 0] = np.inf
+        name = model.modality_inputs[1]
+        with pytest.raises(DecompositionError, match=f"non-finite activation in layer '{name}'"):
+            decompose(model, x)
+
+
+class TestPropagateReadsState:
+    def test_state_of_another_model_rejected(self):
+        model = small_model(norms=("layernorm",), activations=("relu",))
+        other = small_model(norms=(), activations=())
+        state = record(other, gen_sample_set(1, other, 1)[0])
+        x = gen_sample_set(1, model, 1)[0]
+        first = next(l.id for l in model.layers if l.kind in ("LayerNorm", "ReLU"))
+        with pytest.raises(ValueError, match=f"no cache for layer '{first}'"):
+            propagate(model, state, x)
+        assert state.caches == {}
+
+    def test_protocol_run_leaves_state_unchanged(self):
+        model = small_model(include_attention=True)
+        samples = gen_sample_set(4, model, 3)
+        state = record(model, samples[0])
+        before = {lid: dict(cache) for lid, cache in state.caches.items()}
+        for k in (1, 2):
+            pert = dict(samples[0])
+            pert[0] = samples[k][0]
+            propagate(model, state, pert)
+        assert state.caches.keys() == before.keys()
+        for lid, cache in state.caches.items():
+            assert cache.keys() == before[lid].keys()
+            assert all(cache[key] is before[lid][key] for key in cache)

@@ -198,6 +198,9 @@ class TestSerialization:
             ("Dense", "bias", [0.5, float("inf")], "holds a non-finite value"),
             ("Conv2d", "weight", [[[[float("nan")]]]], "holds a non-finite value"),
             ("BatchNorm", "var", [float("-inf")], "holds a non-finite value"),
+            ("Input", "shape", [], "must be a non-empty list of positive integers"),
+            ("Input", "shape", [0], "must be a non-empty list of positive integers"),
+            ("Input", "shape", [-1], "must be a non-empty list of positive integers"),
         ],
     )
     def test_mistyped_field_named(self, kind, key, value, message):

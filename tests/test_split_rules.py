@@ -26,7 +26,7 @@ def relu_state(pre):
     out = np.maximum(pre, 0.0)
     c, r = _chord_ratio(pre, out, EPS)
     layer = LayerSpec("y", "ReLU", ["x"], {})
-    state = RecordedState({"x": pre, "y": out}, {"y": {"ratio": c, "residual": r}}, EPS)
+    state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
     return layer, state, out
 
 

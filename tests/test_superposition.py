@@ -30,7 +30,7 @@ SHAPE = (2, 4, 4)
 
 
 def build_case(kind, rng):
-    """A layer of the given kind plus a recorded state from a random input."""
+    """A layer of the given kind, a state recorded at a random input, and that input."""
     pre = rng.normal(size=SHAPE)
     if kind == "Dense":
         layer = LayerSpec("y", "Dense", ["x"], {"weight": rng.normal(size=(3, 2)), "bias": rng.normal(size=3)})
@@ -80,8 +80,7 @@ def build_case(kind, rng):
         mean = pre.mean(axis=(1, 2), keepdims=True)
         var = ((pre - mean) ** 2).mean(axis=(1, 2), keepdims=True)
         caches["y"] = {"mean": mean, "var": var}
-    state = RecordedState({"x": pre}, caches, EPS)
-    return layer, state
+    return layer, RecordedState({}, caches, EPS), pre
 
 
 def run_rule(layer, state, cfg, d):
@@ -118,7 +117,7 @@ ELEMENT_KINDS = ["Dense", "Conv2d", "BatchNorm", "LayerNorm", "InstanceNorm", "R
 @pytest.mark.parametrize("kind", ELEMENT_KINDS)
 def test_modality_stream_additivity(kind, rng):
     """f(a + b + c) = f(a) + f(b) + f(c) on a modality stream, caches fixed."""
-    layer, state = build_case(kind, rng)
+    layer, state, _ = build_case(kind, rng)
     cfg = SplitConfig()
     for _ in range(30):
         a, b, c = rng.normal(size=(3,) + SHAPE)
@@ -145,7 +144,7 @@ CONFIGS = [
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_component_sum_matches_frozen_layer(kind, cfg, rng):
     """Summing rule outputs over components equals the frozen map on the sum."""
-    layer, state = build_case(kind, rng)
+    layer, state, _ = build_case(kind, rng)
     for _ in range(10):
         d = DecomposedTensor(rng.normal(size=(3,) + SHAPE))
         out = run_rule(layer, state, cfg, d)
@@ -158,8 +157,7 @@ def test_component_sum_matches_frozen_layer(kind, cfg, rng):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_frozen_layer_matches_plain_layer_at_recorded_input(kind, cfg, rng):
     """The frozen layer reproduces the original layer at the recorded point."""
-    layer, state = build_case(kind, rng)
-    pre = state.activations["x"]
+    layer, state, pre = build_case(kind, rng)
     ref = eval_layer(layer, [pre])
     got = apply_frozen(layer, state, cfg, [pre])
     assert got.shape == ref.shape

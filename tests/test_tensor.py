@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from modaldecomp.tensor import concat, conv2d, elementwise_add
+from modaldecomp.tensor import concat, conv2d
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -23,22 +23,6 @@ def naive_conv2d(x, w, b, stride=1, padding=0):
                             acc += w[o, c, di, dj] * xp[c, i * stride + di, j * stride + dj]
                 out[o, i, j] = acc + b[o]
     return out
-
-
-class TestElementwiseAdd:
-    def test_basic(self):
-        assert np.array_equal(elementwise_add([1.0, 2.0], [3.0, 4.0]), [4.0, 6.0])
-
-    def test_zero_identity(self, rng):
-        x = rng.normal(size=(3, 4))
-        assert np.array_equal(elementwise_add(x, np.zeros((3, 4))), x)
-
-    def test_additive_inverse(self):
-        assert np.array_equal(elementwise_add([0.5], [-0.5]), [0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            elementwise_add(np.zeros(2), np.zeros(3))
 
 
 class TestConv2d:
