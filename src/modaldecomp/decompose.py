@@ -84,7 +84,7 @@ class SplitConfig:
     sends it to the bias component, 'uniform' spreads it equally over all
     components. ln_rule 'ratio' keeps LayerNorm live (each component centered
     by its own mean, frozen variance); 'identity'/'uniform' treat LayerNorm
-    like BatchNorm using statistics stored in the record pass. act_rule
+    like BatchNorm using the recorded input statistics. act_rule
     optionally re-routes activation-layer bias mass into the modality that
     triggered the neuron ('sum') or proportionally to component magnitudes
     ('ratio'); both are defined for exactly two modalities.
