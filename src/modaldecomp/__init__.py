@@ -14,7 +14,6 @@ from .decompose import (
     DecompositionResult,
     RecordedState,
     SplitConfig,
-    apply_frozen,
     component_labels,
     decompose,
     equality_residuals,
@@ -81,7 +80,6 @@ __all__ = [
     "SampleSet",
     "SeparationReport",
     "SplitConfig",
-    "apply_frozen",
     "component_labels",
     "decompose",
     "equality_residuals",

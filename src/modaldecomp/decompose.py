@@ -7,14 +7,16 @@ the sum of its input stack, which is the layer's input activation: the chord
 ratio (output over input) of every activation and softmax layer, and the
 input statistics of every LayerNorm/InstanceNorm.
 
-Every element-wise layer freezes into one rule (see _frozen_rule): a
-homogeneous linear map applied to each component, a recorded constant, and
-a routing that sends the constant to the bias component ('identity') or
-spreads it over all components ('uniform'). Fusion and structural layers
-(concatenation, residual add, bilinear matmul) act on the stack directly.
-At every layer the components sum to the layer's activation; the activation
-splitting rule (act_rule) may further re-route activation bias mass between
-the two modalities.
+Every single-input layer freezes into one rule (see _frozen_rule): a
+homogeneous linear map applied to the whole stack, a recorded constant, and
+a routing that sends the constant to the bias component ('identity'),
+spreads it over all components ('uniform'), or, for ReLU/GELU under an
+act_rule ('sum' or 'ratio'), sends it to the bias component and then moves
+the bias component's output mass to the two modalities. _push is the one
+place a frozen rule is applied. Fusion and structural layers (concatenation,
+residual add, bilinear matmul) act on the stack directly, with the component
+axis as a batch axis. At every layer the components sum to the layer's
+activation.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "lin_instancenorm",
     "lin_softmax",
     "lin_matmul",
-    "apply_frozen",
     "propagate",
     "decompose",
     "equality_residuals",
@@ -68,8 +69,8 @@ _LN_RULES = ("ratio", "identity", "uniform")
 _ACT_RULES = ("none", "sum", "ratio")
 
 _ACTIVATION_KINDS = ("ReLU", "GELU", "Softmax")
+_ACT_RULE_KINDS = ("ReLU", "GELU")  # the activations whose bias mass act_rule re-routes
 _CACHED_KINDS = _ACTIVATION_KINDS + ("LayerNorm", "InstanceNorm")
-_STRUCTURAL_KINDS = ("Input", "ConcatFusion", "ResidualAdd", "MatMul")
 
 
 class DecompositionError(RuntimeError):
@@ -228,7 +229,9 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
     Returns (map, const, routing). map is the homogeneous linear map on an
     (S, ...) component stack, const the recorded constant, and routing
     ('identity' or 'uniform') says whether const goes to the bias component
-    or is spread equally over all of them.
+    or is spread equally over all of them. A ReLU/GELU under an act_rule
+    routes by that rule's name ('sum' or 'ratio'): const goes to the bias
+    component, whose output mass _reroute then moves to the modalities.
     """
     kind, p = layer.kind, layer.params
     if kind == "Dense":
@@ -245,7 +248,8 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
         return conv, channel_shape(p["bias"], nd), "identity"
     if kind in _ACTIVATION_KINDS:
         cache = state.caches[layer.id]
-        return (lambda s: s * cache["ratio"]), cache["residual"], "identity"
+        routing = cfg.act_rule if kind in _ACT_RULE_KINDS and cfg.act_rule != "none" else "identity"
+        return (lambda s: s * cache["ratio"]), cache["residual"], routing
     if kind == "BatchNorm":
         scale = channel_shape(p["gamma"] / np.sqrt(p["var"] + p["eps"]), nd)
         const = channel_shape(p["beta"], nd) - channel_shape(p["mean"], nd) * scale
@@ -266,16 +270,16 @@ def _separable(model: ModelGraph, cfg: SplitConfig) -> set[str]:
     """Ids of the layers whose component rows depend on nothing but their own row.
 
     Every frozen rule computes component r of its output from component r of
-    its inputs, except MatMul (cross terms go to bias) and ReLU/GELU under an
-    act_rule that re-routes bias mass; a layer is separable when its rule is
-    not one of these and all of its inputs are separable. Up to the first
-    row-mixing layer, each row of a stack is therefore the same whatever the
-    other rows hold.
+    its inputs, except MatMul (cross terms go to bias) and the _ACT_RULE_KINDS
+    under an act_rule that re-routes bias mass; a layer is separable when its
+    rule is not one of these and all of its inputs are separable. Up to the
+    first row-mixing layer, each row of a stack is therefore the same
+    whatever the other rows hold.
     """
     separable: set[str] = set()
     for layer in model.layers:
         mixing = layer.kind == "MatMul" or (
-            layer.kind in ("ReLU", "GELU") and cfg.act_rule != "none"
+            layer.kind in _ACT_RULE_KINDS and cfg.act_rule != "none"
         )
         if not mixing and all(i in separable for i in layer.inputs):
             separable.add(layer.id)
@@ -291,11 +295,38 @@ def _push(
     """Apply the frozen map to every component and route the constant."""
     fmap, const, routing = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
     out = fmap(d.parts)
-    if routing == "identity":
-        out[-1] += const
-    else:
+    if routing == "uniform":
         out += const / out.shape[0]
+    else:
+        out[-1] += const
+    if routing in ("sum", "ratio"):
+        _reroute(d.parts, out, routing, cfg.epsilon)
     return DecomposedTensor(out)
+
+
+def _reroute(h: np.ndarray, out: np.ndarray, rule: str, eps: float) -> None:
+    """Move the bias row's output mass in out to the two modality rows, in place.
+
+    The shares come from the sign pattern of the input stack h. Under 'sum'
+    the whole bias mass goes to whichever modality triggered the neuron;
+    under 'ratio' it is split between the two modalities in proportion to
+    their magnitudes. Both leave the bias entry exactly zero where they fire.
+    """
+    h0, h1, hb = h
+    if rule == "sum":
+        to0 = ((h0 > 0) & (h1 < 0) & (hb > 0)) | ((h0 < 0) & (h1 > 0) & (hb < 0))
+        to1 = ((h0 < 0) & (h1 > 0) & (hb > 0)) | ((h0 > 0) & (h1 < 0) & (hb < 0))
+        fired = to0 | to1
+        share = np.stack([to0, to1]).astype(float)
+    else:  # ratio
+        same_sign = ((h0 > 0) & (h1 > 0) & (hb > 0)) | ((h0 < 0) & (h1 < 0) & (hb < 0))
+        opp_sign = ((h0 > 0) & (h1 > 0) & (hb < 0)) | ((h0 < 0) & (h1 < 0) & (hb > 0))
+        fired = same_sign | opp_sign
+        alpha = np.abs(h1) / (np.abs(h0) + np.abs(h1) + eps)
+        share = np.where(same_sign, [1.0 - alpha, alpha], 0.0)
+        share = np.where(opp_sign, [alpha, 1.0 - alpha], share)
+    out[:2] += share * out[2]
+    out[2][fired] = 0.0
 
 
 def lin_affine(layer: LayerSpec, d: DecomposedTensor) -> DecomposedTensor:
@@ -334,8 +365,11 @@ def lin_softmax(layer: LayerSpec, d: DecomposedTensor, state: RecordedState) -> 
 
 
 def lin_concat(ds: list[DecomposedTensor], axis: int) -> DecomposedTensor:
-    parts = np.concatenate([d.parts for d in ds], axis=axis + 1)
-    return DecomposedTensor(parts)
+    """Concatenate along an axis of the maps; a negative axis counts from the end."""
+    nd = ds[0].parts.ndim - 1
+    if not -nd <= axis < nd:
+        raise ValueError(f"concat axis {axis} out of range for rank {nd}")
+    return DecomposedTensor(np.concatenate([d.parts for d in ds], axis=axis % nd + 1))
 
 
 def lin_residual_add(a: DecomposedTensor, b: DecomposedTensor) -> DecomposedTensor:
@@ -353,37 +387,15 @@ def lin_activation(
     """Frozen activation: each component scaled by the recorded chord ratio.
 
     The recorded residual keeps the component sum equal to the recorded
-    output. Under the 'sum' rule the bias mass (component and residual) is
-    re-routed to whichever modality triggered the neuron; under 'ratio' it is
-    split between the two modalities in proportion to their magnitudes. Both
-    leave the bias entry exactly zero where they fire.
+    output. Under an act_rule ('sum' or 'ratio') the bias component's output
+    mass is then routed to the two modalities (see _reroute).
     """
-    if cfg.act_rule == "none":
-        return _push(layer, d, state, cfg)
-    if d.num_modalities != 2:
+    if cfg.act_rule != "none" and d.num_modalities != 2:
         raise ValueError(
             f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, "
             f"got {d.num_modalities}"
         )
-    fmap, r, _ = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
-    h0, h1, hb = d.parts[0], d.parts[1], d.parts[2]
-    if cfg.act_rule == "sum":
-        to0 = ((h0 > 0) & (h1 < 0) & (hb > 0)) | ((h0 < 0) & (h1 > 0) & (hb < 0))
-        to1 = ((h0 < 0) & (h1 > 0) & (hb > 0)) | ((h0 > 0) & (h1 < 0) & (hb < 0))
-        fired = to0 | to1
-        share0 = to0.astype(float)
-        share1 = to1.astype(float)
-    else:  # ratio
-        same_sign = ((h0 > 0) & (h1 > 0) & (hb > 0)) | ((h0 < 0) & (h1 < 0) & (hb < 0))
-        opp_sign = ((h0 > 0) & (h1 > 0) & (hb < 0)) | ((h0 < 0) & (h1 < 0) & (hb > 0))
-        fired = same_sign | opp_sign
-        alpha = np.abs(h1) / (np.abs(h0) + np.abs(h1) + cfg.epsilon)
-        share0 = np.where(same_sign, 1.0 - alpha, np.where(opp_sign, alpha, 0.0))
-        share1 = np.where(same_sign, alpha, np.where(opp_sign, 1.0 - alpha, 0.0))
-    out0 = fmap(h0 + share0 * hb) + share0 * r
-    out1 = fmap(h1 + share1 * hb) + share1 * r
-    outb = np.where(fired, 0.0, fmap(hb) + r)
-    return DecomposedTensor(np.stack([out0, out1, outb]))
+    return _push(layer, d, state, cfg)
 
 
 def lin_matmul(
@@ -393,39 +405,17 @@ def lin_matmul(
 ) -> DecomposedTensor:
     """Bilinear product: same-modality terms stay modality, the rest is bias.
 
-    Expanding (sum_m A_m)(sum_n B_n), component m keeps A_m @ B_m; every
+    Expanding (sum_m A_m)(sum_n B_n), component m keeps A_m @ B_m, formed
+    for all m in one product batched over the modality rows; every
     cross-modality term and every term touching a bias operand lands in the
     bias component, computed as the full product minus the kept terms.
     """
     if a.num_modalities != b.num_modalities:
         raise ValueError("matmul operands disagree on modality count")
-    mods = [
-        matmul_pair(a.parts[m], b.parts[m], transpose_b)
-        for m in range(a.num_modalities)
-    ]
     total = matmul_pair(a.total(), b.total(), transpose_b)
-    bias = total - sum(mods)
-    return DecomposedTensor(np.stack(mods + [bias]))
-
-
-def apply_frozen(
-    layer: LayerSpec,
-    state: RecordedState,
-    cfg: SplitConfig,
-    xs: list[np.ndarray],
-) -> np.ndarray:
-    """Evaluate the frozen linearized layer on plain tensors.
-
-    This is the layer the component stack actually flows through: the frozen
-    map on a one-component stack plus the full constant. Structural layers
-    (Input, ConcatFusion, ResidualAdd, MatMul) are already linear and are
-    evaluated as they are. Summing rule outputs over components reproduces
-    this map applied to the summed input.
-    """
-    if layer.kind in _STRUCTURAL_KINDS:
-        return eval_layer(layer, xs)
-    fmap, const, _ = _frozen_rule(layer, state, cfg, xs[0].ndim)
-    return fmap(xs[0][None])[0] + const
+    right = np.swapaxes(b.parts[:-1], -1, -2) if transpose_b else b.parts[:-1]
+    mods = np.matmul(a.parts[:-1], right)
+    return DecomposedTensor(np.concatenate([mods, (total - mods.sum(axis=0))[None]]))
 
 
 # --- whole-network propagation --------------------------------------------
@@ -466,12 +456,38 @@ def _propagate_layers(
             out = lin_residual_add(ups[0], ups[1])
         elif kind == "MatMul":
             out = lin_matmul(ups[0], ups[1], layer.params.get("transpose_b", False))
-        elif kind in ("ReLU", "GELU"):
-            out = lin_activation(layer, ups[0], state, cfg)
         else:
             out = _push(layer, ups[0], state, cfg)
         comp[layer.id] = out
     return comp
+
+
+def _splice(
+    model: ModelGraph,
+    state: RecordedState,
+    cfg: SplitConfig,
+    take: dict[str, DecomposedTensor],
+    rest: dict[str, DecomposedTensor],
+    rows,
+) -> dict[str, DecomposedTensor]:
+    """The stacks of a run whose component rows are take's where rows is set, else rest's.
+
+    Up to the first row-mixing layer (see _separable) each row of a stack is
+    the same whatever the other rows hold, so the frontier stacks are spliced
+    row by row and only the layers past it are run again. Returns the spliced
+    frontier and the rerun layers' stacks; the output is always among them.
+    """
+    separable = _separable(model, cfg)
+    suffix = [layer for layer in model.layers if layer.id not in separable]
+    frontier = {i for layer in suffix for i in layer.inputs if i in separable}
+    if model.output in separable:
+        frontier.add(model.output)
+    comp = {}
+    for lid in frontier:
+        parts = take[lid].parts
+        keep = np.reshape(rows, (-1,) + (1,) * (parts.ndim - 1))
+        comp[lid] = DecomposedTensor(np.where(keep, parts, rest[lid].parts))
+    return _propagate_layers(model, suffix, state, None, cfg, comp)
 
 
 def propagate(

@@ -107,6 +107,10 @@ class MetricConfig:
     perturbed: tuple[tuple[int, ...], ...] | None = None
     positive_parts: bool = False
 
+    def __post_init__(self):
+        if self.offset_count < 1:
+            raise ValueError(f"offset_count must be at least 1, got {self.offset_count}")
+
     def resolve_stride(self, n: int) -> int:
         s = self.stride if self.stride is not None else max(1, n // 12)
         if s < 1:

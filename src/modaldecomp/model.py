@@ -206,10 +206,13 @@ def matmul_pair(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) -> np.n
 
 
 def norm_axes(layer: LayerSpec, ndim: int) -> tuple[int, ...]:
-    """Normalization axes: LayerNorm's own, every non-channel axis for InstanceNorm."""
-    if layer.kind == "LayerNorm":
-        return tuple(layer.params["axes"])
-    return tuple(range(1, ndim))
+    """Non-negative normalization axes: LayerNorm's own, every non-channel axis for InstanceNorm."""
+    if layer.kind != "LayerNorm":
+        return tuple(range(1, ndim))
+    axes = layer.params["axes"]
+    if not all(-ndim <= ax < ndim for ax in axes):
+        raise ModelError(f"layer '{layer.id}' axes {list(axes)} out of range for rank {ndim}")
+    return tuple(ax % ndim for ax in axes)
 
 
 def norm_affine(layer: LayerSpec, ndim: int) -> tuple[np.ndarray, np.ndarray]:

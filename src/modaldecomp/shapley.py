@@ -13,14 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import (
-    DecomposedTensor,
-    SplitConfig,
-    _propagate_layers,
-    _separable,
-    decompose,
-    propagate,
-)
+from .decompose import SplitConfig, _splice, decompose, propagate
 from .model import ModelGraph, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -151,24 +144,13 @@ def hybrid_shapley(
     empty = propagate(model, state, zeros, cfg)
     everyone = (1 << m) - 1
     bias_values = {0: empty[model.output].bias, everyone: h_bias}
-    # Up to the first row-mixing layer a coalition's stack holds, row for
-    # row, the full run's rows of its members and the empty run's rows of
-    # the rest (the bias row is the same in both), so only the layers past
-    # that frontier are run again per coalition.
-    separable = _separable(model, cfg)
-    suffix = [layer for layer in model.layers if layer.id not in separable]
-    frontier = {i for layer in suffix for i in layer.inputs if i in separable}
-    if model.output in separable:
-        frontier.add(model.output)
+    # A coalition's stack holds, row for row, the full run's rows of its
+    # members and the empty run's rows of the rest (the bias row is the same
+    # in both) up to the first row-mixing layer, so _splice reruns only the
+    # layers past it.
     for mask in range(1, everyone):
-        keep = np.array([bool(mask >> i & 1) for i in range(m)] + [True])
-        comp = {}
-        for lid in frontier:
-            parts = full[lid].parts
-            rows = keep.reshape((-1,) + (1,) * (parts.ndim - 1))
-            comp[lid] = DecomposedTensor(np.where(rows, parts, empty[lid].parts))
-        _propagate_layers(model, suffix, state, None, cfg, comp)
-        bias_values[mask] = comp[model.output].bias
+        rows = [bool(mask >> i & 1) for i in range(m)] + [True]
+        bias_values[mask] = _splice(model, state, cfg, full, empty, rows)[model.output].bias
     phis = _shapley_from_values(bias_values, m)
     per = {i: components[i] + phis[i] for i in range(m)}
     return Attribution(

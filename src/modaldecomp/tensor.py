@@ -97,11 +97,13 @@ def conv2d(
 
 
 def concat(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    """Lay out tensors contiguously along one axis."""
+    """Lay out tensors contiguously along one axis; a negative axis counts from the end."""
     if not parts:
         raise ValueError("concat of an empty list")
     arrs = [as_tensor(p) for p in parts]
     first = arrs[0]
+    if not -first.ndim <= axis < first.ndim:
+        raise ValueError(f"concat axis {axis} out of range for rank {first.ndim}")
     ax = axis % first.ndim
     for p in arrs[1:]:
         if p.ndim != first.ndim:

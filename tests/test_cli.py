@@ -179,6 +179,19 @@ class TestDecompose:
         )
         assert_validation_error(proc, detail)
 
+    def test_concat_axis_out_of_range_exits_2(self, workdir):
+        doc = json.loads((workdir / "model.json").read_text())
+        next(l for l in doc["layers"] if l["kind"] == "ConcatFusion")["axis"] = 3
+        (workdir / "axis3.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            ["decompose", "--model", "axis3.json", "--samples", "samples.json", "--out", "axis3_report.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "axis 3")
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert not (workdir / "axis3_report.json").exists()
+
     def test_act_rule_on_three_modalities_exits_2(self, workdir):
         run_cli(["gen-samples", "--seed", "5", "--model", "m3.json", "--count", "2", "--out", "s3b.json"], workdir)
         proc = run_cli(
@@ -270,6 +283,18 @@ class TestMetrics:
         assert proc.returncode == 3
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
         assert "in0" in proc.stderr
+
+    @pytest.mark.parametrize("offsets", ["0", "-1"])
+    def test_offsets_below_one_exit_2(self, workdir, offsets):
+        proc = run_cli(
+            ["metrics", "--model", "model.json", "--samples", "samples.json",
+             "--offsets", offsets, "--out", "no_offsets.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "offset_count")
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert not (workdir / "no_offsets.json").exists()
 
     def test_unknown_modality_exits_2(self, workdir):
         proc = run_cli(

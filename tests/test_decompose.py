@@ -27,7 +27,7 @@ from modaldecomp import (
     split_input,
 )
 from modaldecomp.decompose import _chord_ratio, _frozen_rule
-from modaldecomp.model import _softmax, norm_axes, norm_stats
+from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
 from conftest import scalar_pair_model, small_model
 
@@ -83,6 +83,7 @@ class TestRecord:
         assert set(state.caches) == {l.id for l in model.layers if l.kind in cached}
         assert state.inputs.keys() == x.keys()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_activation_named(self):
         model = scalar_pair_model(w0=1.0, w1=1.0, bias=0.0)
         layers = model.layers + [
@@ -321,6 +322,17 @@ class TestMatMulRule:
         out = lin_matmul(a, b)
         assert np.all(out.modality(0) == 0.0) and np.all(out.modality(1) == 0.0)
 
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_matches_per_modality_products(self, rng, rows, batch, transpose_b):
+        a = DecomposedTensor(rng.normal(size=(rows,) + batch + (4, 5)))
+        b = DecomposedTensor(rng.normal(size=(rows,) + batch + ((2, 5) if transpose_b else (5, 2))))
+        out = lin_matmul(a, b, transpose_b)
+        mods = [matmul_pair(a.parts[m], b.parts[m], transpose_b) for m in range(rows - 1)]
+        bias = matmul_pair(a.total(), b.total(), transpose_b) - sum(mods)
+        assert np.array_equal(out.parts, np.stack(mods + [bias]))
+
     def test_distributivity_exact(self, rng):
         a = DecomposedTensor(rng.normal(size=(3, 4, 5)))
         b = DecomposedTensor(rng.normal(size=(3, 5, 2)))
@@ -492,6 +504,7 @@ class TestOneSweep:
         comp = propagate(model, state, samples[1])
         assert max(equality_residuals(model, comp, state).values()) > 1e-3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_sample_names_input_layer(self):
         model = small_model()
         x = gen_sample_set(3, model, 1)[0]
@@ -526,3 +539,48 @@ class TestPropagateReadsState:
         for lid, cache in state.caches.items():
             assert cache.keys() == before[lid].keys()
             assert all(cache[key] is before[lid][key] for key in cache)
+
+
+def with_axes(model, concat_axis, ln_axes):
+    """The model with the given concat axis and LayerNorm axes."""
+    layers = []
+    for layer in model.layers:
+        params = dict(layer.params)
+        if layer.kind == "ConcatFusion":
+            params["axis"] = concat_axis
+        elif layer.kind == "LayerNorm":
+            params["axes"] = ln_axes
+        layers.append(LayerSpec(layer.id, layer.kind, layer.inputs, params))
+    return ModelGraph(layers, model.output, model.modalities)
+
+
+class TestNegativeAxes:
+    @pytest.mark.parametrize(
+        "cfg", [SplitConfig(), SplitConfig("uniform", "identity"), SplitConfig(ln_rule="uniform")],
+        ids=lambda c: c.label(),
+    )
+    @pytest.mark.parametrize("ln_axes", [(0, 1, 2), (1, 2)])
+    def test_negative_axes_decompose_bit_identical(self, cfg, ln_axes):
+        model = small_model(norms=("layernorm",), include_attention=True)
+        x = gen_sample_set(4, model, 1)[0]
+        pos = with_axes(model, 0, ln_axes)
+        neg = with_axes(model, -3, tuple(a - 3 for a in ln_axes))
+        a, b = decompose(pos, x, cfg), decompose(neg, x, cfg)
+        for lid, d in a.components.items():
+            assert np.array_equal(b.components[lid].parts, d.parts)
+        assert max(equality_residuals(neg, b.components, b.state).values()) <= 1e-9
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_layernorm_axis_out_of_range_names_layer(self, axis):
+        model = with_axes(small_model(norms=("layernorm",)), 0, (0, axis))
+        first = next(l.id for l in model.layers if l.kind == "LayerNorm")
+        with pytest.raises(ValueError, match=f"layer '{first}' axes \\[0, {axis}\\] out of range for rank 3"):
+            decompose(model, gen_sample_set(4, model, 1)[0])
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_concat_axis_out_of_range(self, axis):
+        model = with_axes(small_model(norms=("layernorm",)), axis, (0, 1, 2))
+        x = gen_sample_set(4, model, 1)[0]
+        for run in (decompose, forward):
+            with pytest.raises(ValueError, match=f"concat axis {axis} out of range for rank 3"):
+                run(model, x)

@@ -112,6 +112,11 @@ class TestMetricConfig:
         with pytest.raises(ValueError, match="onto itself"):
             MetricConfig(stride=3, offset_count=2).resolve_stride(6)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_offset_count_below_one_refused(self, count):
+        with pytest.raises(ValueError, match="offset_count must be at least 1"):
+            MetricConfig(offset_count=count)
+
     def test_single_sample_refused(self):
         model = small_model()
         samples = gen_sample_set(0, model, 1)

@@ -102,6 +102,32 @@ class TestRuleInvariants:
         assert fired.any()
         assert np.all(got.bias[fired] == 0.0)
 
+    @pytest.mark.parametrize("rule", ["sum", "ratio"])
+    def test_matches_row_by_row_reference(self, rule, rng):
+        """The routing after the frozen map equals re-routing the input bias row first."""
+        parts = rng.normal(size=(3, 400))
+        layer, state, _ = relu_state(parts.sum(axis=0))
+        got = lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
+        c, r = state.caches["y"]["ratio"], state.caches["y"]["residual"]
+        h0, h1, hb = parts
+        if rule == "sum":
+            to0 = ((h0 > 0) & (h1 < 0) & (hb > 0)) | ((h0 < 0) & (h1 > 0) & (hb < 0))
+            to1 = ((h0 < 0) & (h1 > 0) & (hb > 0)) | ((h0 > 0) & (h1 < 0) & (hb < 0))
+            share0, share1 = to0.astype(float), to1.astype(float)
+        else:
+            same = ((h0 > 0) & (h1 > 0) & (hb > 0)) | ((h0 < 0) & (h1 < 0) & (hb < 0))
+            opp = ((h0 > 0) & (h1 > 0) & (hb < 0)) | ((h0 < 0) & (h1 < 0) & (hb > 0))
+            alpha = np.abs(h1) / (np.abs(h0) + np.abs(h1) + EPS)
+            share0 = np.where(same, 1.0 - alpha, np.where(opp, alpha, 0.0))
+            share1 = np.where(same, alpha, np.where(opp, 1.0 - alpha, 0.0))
+        fired = (share0 + share1) > 0
+        want = np.stack([
+            c * (h0 + share0 * hb) + share0 * r,
+            c * (h1 + share1 * hb) + share1 * r,
+            np.where(fired, 0.0, c * hb + r),
+        ])
+        assert np.max(np.abs(got.parts - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
     @pytest.mark.parametrize("rule", ["none", "sum", "ratio"])
     def test_zero_output_neurons_zero_everywhere(self, rule, rng):
         parts = rng.normal(size=(3, 100))

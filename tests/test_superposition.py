@@ -14,13 +14,12 @@ from modaldecomp import (
     LayerSpec,
     RecordedState,
     SplitConfig,
-    apply_frozen,
     gen_sample_set,
     lin_matmul,
     propagate,
     record,
 )
-from modaldecomp.decompose import _chord_ratio
+from modaldecomp.decompose import _chord_ratio, _push
 from modaldecomp.model import eval_layer
 
 from conftest import small_model
@@ -140,6 +139,11 @@ CONFIGS = [
 ]
 
 
+def frozen_layer(layer, state, cfg, x):
+    """The frozen linearized layer on a plain tensor: _push on a one-modality stack."""
+    return _push(layer, DecomposedTensor(np.stack([x, np.zeros_like(x)])), state, cfg).total()
+
+
 @pytest.mark.parametrize("kind", ELEMENT_KINDS)
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_component_sum_matches_frozen_layer(kind, cfg, rng):
@@ -148,7 +152,7 @@ def test_component_sum_matches_frozen_layer(kind, cfg, rng):
     for _ in range(10):
         d = DecomposedTensor(rng.normal(size=(3,) + SHAPE))
         out = run_rule(layer, state, cfg, d)
-        ref = apply_frozen(layer, state, cfg, [d.total()])
+        ref = frozen_layer(layer, state, cfg, d.total())
         scale = 1.0 + np.max(np.abs(ref))
         assert np.max(np.abs(out.total() - ref)) / scale <= 1e-9
 
@@ -159,7 +163,7 @@ def test_frozen_layer_matches_plain_layer_at_recorded_input(kind, cfg, rng):
     """The frozen layer reproduces the original layer at the recorded point."""
     layer, state, pre = build_case(kind, rng)
     ref = eval_layer(layer, [pre])
-    got = apply_frozen(layer, state, cfg, [pre])
+    got = frozen_layer(layer, state, cfg, pre)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -110,3 +110,8 @@ class TestConcat:
     def test_extent_mismatch(self):
         with pytest.raises(ValueError, match="extent mismatch"):
             concat([np.zeros((2, 2)), np.zeros((3, 3))], 0)
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_axis_out_of_range(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for rank 3"):
+            concat([np.zeros((2, 2, 2)), np.zeros((2, 2, 2))], axis)
