@@ -29,6 +29,7 @@ from .model import (
     LayerSpec,
     ModelGraph,
     channel_shape,
+    concat_axis,
     eval_layer,
     forward,
     matmul_pair,
@@ -266,15 +267,15 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
     raise ValueError(f"no frozen single-input rule for kind '{kind}'")
 
 
-def _separable(model: ModelGraph, cfg: SplitConfig) -> set[str]:
-    """Ids of the layers whose component rows depend on nothing but their own row.
+def _frontier(model: ModelGraph, cfg: SplitConfig) -> tuple[list[LayerSpec], set[str]]:
+    """The layers past the row-separable prefix, and the prefix stacks they read.
 
     Every frozen rule computes component r of its output from component r of
     its inputs, except MatMul (cross terms go to bias) and the _ACT_RULE_KINDS
     under an act_rule that re-routes bias mass; a layer is separable when its
     rule is not one of these and all of its inputs are separable. Up to the
     first row-mixing layer, each row of a stack is therefore the same
-    whatever the other rows hold.
+    whatever the other rows hold. The frontier includes a separable output.
     """
     separable: set[str] = set()
     for layer in model.layers:
@@ -283,7 +284,11 @@ def _separable(model: ModelGraph, cfg: SplitConfig) -> set[str]:
         )
         if not mixing and all(i in separable for i in layer.inputs):
             separable.add(layer.id)
-    return separable
+    suffix = [layer for layer in model.layers if layer.id not in separable]
+    frontier = {i for layer in suffix for i in layer.inputs if i in separable}
+    if model.output in separable:
+        frontier.add(model.output)
+    return suffix, frontier
 
 
 def _push(
@@ -451,7 +456,7 @@ def _propagate_layers(
         if kind == "Input":
             out = split_input(eval_layer(layer, [], inputs), layer.params["modality"], M)
         elif kind == "ConcatFusion":
-            out = lin_concat(ups, layer.params["axis"])
+            out = lin_concat(ups, concat_axis(layer, ups[0].parts.ndim - 1))
         elif kind == "ResidualAdd":
             out = lin_residual_add(ups[0], ups[1])
         elif kind == "MatMul":
@@ -468,20 +473,18 @@ def _splice(
     cfg: SplitConfig,
     take: dict[str, DecomposedTensor],
     rest: dict[str, DecomposedTensor],
-    rows,
+    members,
 ) -> dict[str, DecomposedTensor]:
-    """The stacks of a run whose component rows are take's where rows is set, else rest's.
+    """The stacks of a run taking the members' rows from take and every other row from rest.
 
-    Up to the first row-mixing layer (see _separable) each row of a stack is
-    the same whatever the other rows hold, so the frontier stacks are spliced
-    row by row and only the layers past it are run again. Returns the spliced
-    frontier and the rerun layers' stacks; the output is always among them.
+    members is a set of modality indices. In the separable prefix (see
+    _frontier) each row of a stack is the same whatever the other rows hold,
+    and the bias row is the same in every run, so the frontier stacks are
+    spliced row by row and only the suffix is run again. Returns the spliced
+    frontier and the suffix stacks; the output is always among them.
     """
-    separable = _separable(model, cfg)
-    suffix = [layer for layer in model.layers if layer.id not in separable]
-    frontier = {i for layer in suffix for i in layer.inputs if i in separable}
-    if model.output in separable:
-        frontier.add(model.output)
+    suffix, frontier = _frontier(model, cfg)
+    rows = [m in members for m in range(model.modalities)] + [False]  # bias last
     comp = {}
     for lid in frontier:
         parts = take[lid].parts

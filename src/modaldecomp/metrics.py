@@ -10,11 +10,11 @@ component of m1 observed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decompose import SplitConfig, decompose, propagate
+from .decompose import SplitConfig, _frontier, _splice, decompose, propagate
 from .heatmap import normalize_map
 from .model import ModelGraph
 from .parallel import ordered_map
@@ -135,16 +135,7 @@ class CellStats:
     n_degenerate: int
 
     def to_dict(self) -> dict:
-        return {
-            "perturbed": self.perturbed,
-            "observed": self.observed,
-            "pcc_mean": self.pcc_mean,
-            "pcc_std": self.pcc_std,
-            "mse_mean": self.mse_mean,
-            "mse_std": self.mse_std,
-            "n": self.n,
-            "n_degenerate": self.n_degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -182,6 +173,9 @@ def perturbation_protocol(
     For each sample the linearization is recorded once from the clean inputs
     and reused for every replacement, so an unperturbed modality's component
     is reproduced bit for bit when the splitting rules do not mix components.
+    Per offset, one propagate runs the replacement sample with every
+    modality replaced, and each perturbation set's run is spliced from it
+    and the clean run (see decompose._splice).
     Degenerate (zero-variance) correlation pairs are counted per cell and
     excluded from the Pearson aggregate rather than silently averaged.
     """
@@ -193,30 +187,29 @@ def perturbation_protocol(
     stride = mcfg.resolve_stride(n)
     modalities = sorted(model.modality_inputs)
     perturb_sets = mcfg.perturbed or tuple((m,) for m in modalities)
+    frontier = _frontier(model, cfg)[1]
     for pset in perturb_sets:
         for p in pset:
             if p not in model.modality_inputs:
                 raise ValueError(f"unknown modality {p} in perturbation set")
 
     def one_sample(k: int):
-        inputs = samples[k]
-        res = decompose(model, inputs, cfg)
-        state, clean = res.state, res.output
-        del res  # the clean run's other stacks are not needed past this point
-        rows = []
-        for pset in perturb_sets:
-            for j in range(1, mcfg.offset_count + 1):
-                src = samples[(k + stride * j) % n]
-                pert_inputs = dict(inputs)
-                for p in pset:
-                    pert_inputs[p] = src[p]
-                pert = propagate(model, state, pert_inputs, cfg)[model.output]
+        res = decompose(model, samples[k], cfg)
+        state, clean_out = res.state, res.output
+        clean = {lid: res.components[lid] for lid in frontier}
+        del res  # the splices read only the frontier stacks
+        rows = [[] for _ in perturb_sets]  # set-major, the order the cells sum in
+        for j in range(1, mcfg.offset_count + 1):
+            replaced = propagate(model, state, samples[(k + stride * j) % n], cfg)
+            replaced = {lid: replaced[lid] for lid in frontier}
+            for pset, pset_rows in zip(perturb_sets, rows):
+                pert = _splice(model, state, cfg, replaced, clean, pset)[model.output]
                 for o in modalities:
-                    a, b = clean.modality(o), pert.modality(o)
+                    a, b = clean_out.modality(o), pert.modality(o)
                     if mcfg.positive_parts:
                         a, b = normalize_map(a, "max-positive"), normalize_map(b, "max-positive")
-                    rows.append((pset, o, *_pearson(a, b), mse(a, b)))
-        return rows
+                    pset_rows.append((pset, o, *_pearson(a, b), mse(a, b)))
+        return [row for pset_rows in rows for row in pset_rows]
 
     all_rows = [row for rows in ordered_map(one_sample, range(n)) for row in rows]
 

@@ -215,6 +215,14 @@ def norm_axes(layer: LayerSpec, ndim: int) -> tuple[int, ...]:
     return tuple(ax % ndim for ax in axes)
 
 
+def concat_axis(layer: LayerSpec, ndim: int) -> int:
+    """A ConcatFusion's non-negative axis on rank-ndim maps."""
+    axis = layer.params["axis"]
+    if not -ndim <= axis < ndim:
+        raise ModelError(f"layer '{layer.id}' concat axis {axis} out of range for rank {ndim}")
+    return axis % ndim
+
+
 def norm_affine(layer: LayerSpec, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """(gamma, beta) shaped to broadcast over a rank-ndim activation."""
     p = layer.params
@@ -265,7 +273,7 @@ def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.
     if kind == "Softmax":
         return _softmax(upstream[0], p["axis"])
     if kind == "ConcatFusion":
-        return concat(upstream, p["axis"])
+        return concat(upstream, concat_axis(layer, upstream[0].ndim))
     if kind == "ResidualAdd":
         a, b = upstream
         if a.shape != b.shape:

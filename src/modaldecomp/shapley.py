@@ -144,13 +144,12 @@ def hybrid_shapley(
     empty = propagate(model, state, zeros, cfg)
     everyone = (1 << m) - 1
     bias_values = {0: empty[model.output].bias, everyone: h_bias}
-    # A coalition's stack holds, row for row, the full run's rows of its
-    # members and the empty run's rows of the rest (the bias row is the same
-    # in both) up to the first row-mixing layer, so _splice reruns only the
-    # layers past it.
+    # A coalition's run takes its members' rows from the full run and the
+    # rest from the empty run; _splice reruns only the layers past the
+    # row-separable prefix.
     for mask in range(1, everyone):
-        rows = [bool(mask >> i & 1) for i in range(m)] + [True]
-        bias_values[mask] = _splice(model, state, cfg, full, empty, rows)[model.output].bias
+        members = {i for i in range(m) if mask >> i & 1}
+        bias_values[mask] = _splice(model, state, cfg, full, empty, members)[model.output].bias
     phis = _shapley_from_values(bias_values, m)
     per = {i: components[i] + phis[i] for i in range(m)}
     return Attribution(

@@ -188,7 +188,7 @@ class TestDecompose:
             workdir,
             check=False,
         )
-        assert_validation_error(proc, "axis 3")
+        assert_validation_error(proc, "layer 'fuse_concat' concat axis 3")
         assert proc.stderr.splitlines()[-1].startswith("error:")
         assert not (workdir / "axis3_report.json").exists()
 

@@ -8,6 +8,7 @@ from modaldecomp import (
     DecomposedTensor,
     DecompositionError,
     LayerSpec,
+    ModelError,
     ModelGraph,
     RecordedState,
     SplitConfig,
@@ -582,5 +583,7 @@ class TestNegativeAxes:
         model = with_axes(small_model(norms=("layernorm",)), axis, (0, 1, 2))
         x = gen_sample_set(4, model, 1)[0]
         for run in (decompose, forward):
-            with pytest.raises(ValueError, match=f"concat axis {axis} out of range for rank 3"):
+            with pytest.raises(
+                ModelError, match=f"layer 'fuse_concat' concat axis {axis} out of range for rank 3"
+            ):
                 run(model, x)

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaldecomp import (
+    CellStats,
     MetricConfig,
+    SeparationReport,
     SplitConfig,
+    decompose,
     format_table,
     gen_sample_set,
     mse,
@@ -20,6 +23,7 @@ from modaldecomp import (
     report_to_json,
     variant_matrix,
 )
+from modaldecomp.heatmap import normalize_map
 
 from conftest import small_model
 
@@ -124,7 +128,73 @@ class TestMetricConfig:
             perturbation_protocol(model, samples)
 
 
+def one_propagate_per_replacement(model, samples, cfg, mcfg):
+    """The protocol as one full propagate per (perturbation set, offset) pair."""
+    n = samples.n
+    stride = mcfg.resolve_stride(n)
+    modalities = sorted(model.modality_inputs)
+    perturb_sets = mcfg.perturbed or tuple((m,) for m in modalities)
+    all_rows = []
+    for k in range(n):
+        inputs = samples[k]
+        res = decompose(model, inputs, cfg)
+        for pset in perturb_sets:
+            for j in range(1, mcfg.offset_count + 1):
+                src = samples[(k + stride * j) % n]
+                pert_inputs = dict(inputs)
+                for p in pset:
+                    pert_inputs[p] = src[p]
+                pert = propagate(model, res.state, pert_inputs, cfg)[model.output]
+                for o in modalities:
+                    a, b = res.output.modality(o), pert.modality(o)
+                    if mcfg.positive_parts:
+                        a, b = normalize_map(a, "max-positive"), normalize_map(b, "max-positive")
+                    all_rows.append((pset, o, pearson(a, b), pearson_degenerate(a, b), mse(a, b)))
+    cells = []
+    for pset in perturb_sets:
+        for o in modalities:
+            sel = [r for r in all_rows if r[0] == pset and r[1] == o]
+            pccs = np.array([r[2] for r in sel if not r[3]])
+            mses = np.array([r[4] for r in sel])
+            cells.append(
+                CellStats(
+                    perturbed="".join(f"m{p}_p" for p in pset),
+                    observed=f"m{o}",
+                    pcc_mean=float(pccs.mean()) if pccs.size else 0.0,
+                    pcc_std=float(pccs.std()) if pccs.size else 0.0,
+                    mse_mean=float(mses.mean()),
+                    mse_std=float(mses.std()),
+                    n=len(sel),
+                    n_degenerate=sum(1 for r in sel if r[3]),
+                )
+            )
+    return SeparationReport(cfg.label(), cells, n, mcfg.offset_count, stride)
+
+
 class TestProtocol:
+    @pytest.mark.parametrize(
+        "spec, cfg, mcfg",
+        [
+            (dict(), SplitConfig(), MetricConfig()),
+            (
+                dict(modalities=3, include_attention=True),
+                SplitConfig("uniform", "identity"),
+                MetricConfig(stride=1, offset_count=2, perturbed=((0,), (1, 2))),
+            ),
+            (dict(), SplitConfig(act_rule="sum"), MetricConfig(stride=1, offset_count=2)),
+            (dict(), SplitConfig("uniform", "uniform", "ratio"), MetricConfig(stride=1, offset_count=2)),
+            (dict(modalities=1), SplitConfig(), MetricConfig(stride=1, offset_count=2)),
+            (dict(), SplitConfig(), MetricConfig(stride=2, offset_count=2, positive_parts=True)),
+        ],
+        ids=["default", "m3-attention-joint", "act-sum", "act-ratio", "m1", "positive-parts"],
+    )
+    def test_matches_one_propagate_per_replacement(self, spec, cfg, mcfg):
+        model = small_model(**spec)
+        samples = gen_sample_set(5, model, 6)
+        got = perturbation_protocol(model, samples, cfg, mcfg)
+        want = one_propagate_per_replacement(model, samples, cfg, mcfg)
+        assert report_to_json([got]) == report_to_json([want])
+
     def test_identity_perturbation_scores_perfectly(self):
         # replacing a modality with itself must leave every cell ideal
         model = small_model()

@@ -1,10 +1,12 @@
 """Invariants of the decomposition on generated fusion graphs (hypothesis).
 
 One strategy draws a small GenSpec, a SplitConfig valid for its model, a
-sample and a coalition of modalities. Every draw must keep the equality
-contract at every layer, and splicing the full and the empty run at the
-separable frontier must reproduce, bit for bit, a full propagate with the
-modalities outside the coalition zeroed.
+sample x, a replacement sample y and a set of member modalities. Every draw
+must keep the equality contract at every layer, and splicing two runs at the
+separable frontier must reproduce, bit for bit, a full propagate of the
+spliced inputs: the full and the empty run give x with the non-members
+zeroed (a Shapley coalition), the run of y and the clean run give x with the
+members replaced by y's (a replacement of the protocol).
 
 The equality contract is asserted on draws whose components cancel by at
 most 1e6 (the largest component over the largest total, at any layer).
@@ -52,26 +54,27 @@ def cases(draw):
         draw(st.sampled_from(act_rules)),
     )
     model = gen_synthetic_model(draw(st.integers(0, 2**16)), spec)
-    x = gen_sample_set(draw(st.integers(0, 2**16)), model, 1)[0]
+    x, y = gen_sample_set(draw(st.integers(0, 2**16)), model, 2).samples
     mask = draw(st.integers(0, (1 << spec.modalities) - 1))
-    return model, cfg, x, mask
+    return model, cfg, x, y, {m for m in range(spec.modalities) if mask >> m & 1}
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_equality_and_splice_on_generated_graphs(case):
-    model, cfg, x, mask = case
+    model, cfg, x, y, members = case
     M = model.modalities
     res = decompose(model, x, cfg)
     zeros = {m: np.zeros_like(x[m]) for m in range(M)}
     empty = propagate(model, res.state, zeros, cfg)
-    rows = [bool(mask >> m & 1) for m in range(M)] + [True]
-    spliced = _splice(model, res.state, cfg, res.components, empty, rows)
-    coalition = {m: x[m] if rows[m] else zeros[m] for m in range(M)}
-    ref = propagate(model, res.state, coalition, cfg)
-    assert model.output in spliced
-    for lid, d in spliced.items():
-        assert np.array_equal(d.parts, ref[lid].parts), lid
+    replaced = propagate(model, res.state, y, cfg)
+    for take, rest, src, dst in ((res.components, empty, x, zeros), (replaced, res.components, y, x)):
+        spliced = _splice(model, res.state, cfg, take, rest, members)
+        spliced_inputs = {m: src[m] if m in members else dst[m] for m in range(M)}
+        ref = propagate(model, res.state, spliced_inputs, cfg)
+        assert model.output in spliced
+        for lid, d in spliced.items():
+            assert np.array_equal(d.parts, ref[lid].parts), lid
 
     cancellation = max(
         np.abs(d.parts).max() / (1.0 + np.abs(d.total()).max()) for d in res.components.values()

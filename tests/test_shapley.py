@@ -15,7 +15,7 @@ from modaldecomp import (
     record,
     shapley,
 )
-from modaldecomp.decompose import _separable
+from modaldecomp.decompose import _frontier
 from modaldecomp.shapley import _shapley_from_values
 
 from conftest import scalar_pair_model, small_model
@@ -213,17 +213,17 @@ class TestCoalitionSharing:
 
     def test_frontier_of_attention_net(self):
         model = small_model(5, modalities=3, include_attention=True)
-        separable = _separable(model, SplitConfig())
-        suffix = [layer for layer in model.layers if layer.id not in separable]
+        suffix, frontier = _frontier(model, SplitConfig())
         assert [layer.id for layer in suffix] == [
             "attn_scores", "attn_softmax", "attn_out", "head"
         ]
-        frontier = {i for layer in suffix for i in layer.inputs if i in separable}
         assert frontier == {"attn_q", "attn_k", "attn_v"}
 
     def test_sum_rule_makes_branch_activations_mix_rows(self):
         model = small_model(5)
-        assert "branch0_act" in _separable(model, SplitConfig())
-        mixed = _separable(model, SplitConfig(act_rule="sum"))
-        assert "branch0_act" not in mixed and "branch1_act" not in mixed
-        assert "branch0_norm" in mixed
+        suffix, frontier = _frontier(model, SplitConfig())
+        assert suffix == [] and frontier == {model.output}
+        suffix, frontier = _frontier(model, SplitConfig(act_rule="sum"))
+        mixed = {layer.id for layer in suffix}
+        assert "branch0_act" in mixed and "branch1_act" in mixed
+        assert "branch0_norm" in frontier
