@@ -37,12 +37,17 @@ def as_2d(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _max_positive(x: np.ndarray, axis=None) -> np.ndarray:
+    """max(x, 0) over its peak along axis (all of x by default); no positive peak divides by 1."""
+    xp = np.maximum(x, 0.0)
+    peak = xp.max(axis=axis, keepdims=True)
+    return xp / np.where(peak > 0, peak, 1.0)
+
+
 def normalize_map(x: np.ndarray, mode: str) -> np.ndarray:
     x = as_tensor(x)
     if mode == "max-positive":
-        xp = np.maximum(x, 0.0)
-        peak = xp.max()
-        return xp / peak if peak > 0 else xp
+        return _max_positive(x)
     if mode == "signed-symmetric":
         amp = np.abs(x).max()
         if amp == 0:

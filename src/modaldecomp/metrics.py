@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .decompose import SplitConfig, _frontier, _splice, decompose, propagate
-from .heatmap import normalize_map
+from .heatmap import _max_positive
 from .model import ModelGraph
 from .parallel import ordered_map
 from .synth import SampleSet
@@ -35,35 +35,32 @@ __all__ = [
 ]
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """Pearson correlation of the flattened entries and whether it is degenerate.
+def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of each row pair over the last axis, and whether it is degenerate.
 
-    Degenerate means a constant argument, whose correlation is undefined and
-    reads 0.0 by convention, or a non-finite spread (a non-finite entry, or
-    one so large that centring overflows), which reads nan.
+    a and b broadcast against each other. Degenerate means a constant row,
+    whose correlation is undefined and reads 0.0 by convention, or else a
+    non-finite spread (a non-finite entry, or one so large that centring
+    overflows), which reads nan. Identical rows read exactly 1.0.
     """
-    a = as_tensor(a).ravel()
-    b = as_tensor(b).ravel()
-    if a.shape != b.shape:
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"pearson shape mismatch: {a.shape} vs {b.shape}")
-    if a.size < 2:
+    if a.shape[-1] < 2:
         raise ValueError("pearson needs at least two elements")
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        return 0.0, True
-    with np.errstate(over="ignore", invalid="ignore"):
-        da = a - a.mean()
-        db = b - b.mean()
-    # the correlation is scale-free: normalize before squaring so that a tiny
-    # spread does not underflow into a wrong value
-    sa, sb = np.max(np.abs(da)), np.max(np.abs(db))
-    if not (np.isfinite(sa) and np.isfinite(sb)):
-        return float("nan"), True
-    da, db = da / sa, db / sb
-    denom = np.sqrt((da * da).sum() * (db * db).sum())
-    if np.array_equal(a, b):
-        # identical inputs correlate exactly; do not let sqrt rounding shave an ulp
-        return 1.0, False
-    return float(np.clip((da * db).sum() / denom, -1.0, 1.0)), False
+    constant = np.all(a == a[..., :1], -1) | np.all(b == b[..., :1], -1)
+    with np.errstate(all="ignore"):  # degenerate rows overflow or divide by zero
+        da = a - a.mean(-1, keepdims=True)
+        db = b - b.mean(-1, keepdims=True)
+        # the correlation is scale-free: normalize before squaring so that a tiny
+        # spread does not underflow into a wrong value
+        sa = np.max(np.abs(da), -1, keepdims=True)
+        sb = np.max(np.abs(db), -1, keepdims=True)
+        da, db = da / sa, db / sb
+        r = np.clip((da * db).sum(-1) / np.sqrt((da * da).sum(-1) * (db * db).sum(-1)), -1.0, 1.0)
+    finite = np.isfinite(sa[..., 0]) & np.isfinite(sb[..., 0])
+    # identical rows correlate exactly; do not let sqrt rounding shave an ulp
+    r = np.where(finite, np.where(np.all(a == b, -1), 1.0, r), np.nan)
+    return np.where(constant, 0.0, r), constant | ~finite
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,12 +70,12 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     0.0 there, and nan when an entry or the spread is not finite (use
     pearson_degenerate to detect both cases).
     """
-    return _pearson(a, b)[0]
+    return float(_pearson(as_tensor(a).ravel(), as_tensor(b).ravel())[0])
 
 
 def pearson_degenerate(a: np.ndarray, b: np.ndarray) -> bool:
     """True when pearson(a, b) is no correlation: a constant or non-finite input."""
-    return _pearson(a, b)[1]
+    return bool(_pearson(as_tensor(a).ravel(), as_tensor(b).ravel())[1])
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,8 +95,9 @@ class MetricConfig:
     Sample k is compared against samples k + stride*j (mod N) for
     j = 1..offset_count. stride=None picks max(1, N // 12). perturbed names
     the modality sets to replace, one at a time; None means every single
-    modality. positive_parts scores max(x, 0)/max instead of raw signed
-    components.
+    modality. The sets must be non-empty, name each modality at most once
+    and be distinct as sets. positive_parts scores max(x, 0)/max instead of
+    raw signed components.
     """
 
     stride: int | None = None
@@ -110,6 +108,9 @@ class MetricConfig:
     def __post_init__(self):
         if self.offset_count < 1:
             raise ValueError(f"offset_count must be at least 1, got {self.offset_count}")
+        for i, pset in enumerate(self.perturbed or ()):
+            if not pset or len(set(pset)) < len(pset) or set(pset) in map(set, self.perturbed[:i]):
+                raise ValueError(f"perturbation set {tuple(pset)} is empty, repeats a modality or repeats a set")
 
     def resolve_stride(self, n: int) -> int:
         s = self.stride if self.stride is not None else max(1, n // 12)
@@ -174,10 +175,11 @@ def perturbation_protocol(
     and reused for every replacement, so an unperturbed modality's component
     is reproduced bit for bit when the splitting rules do not mix components.
     Per offset, one propagate runs the replacement sample with every
-    modality replaced, and each perturbation set's run is spliced from it
-    and the clean run (see decompose._splice).
-    Degenerate (zero-variance) correlation pairs are counted per cell and
-    excluded from the Pearson aggregate rather than silently averaged.
+    modality replaced, each perturbation set's run is spliced from it and the
+    clean run (see decompose._splice), and one stacked call scores all the
+    offset's (set, modality) pairs. Degenerate pairs (a constant or
+    non-finite map) are counted per cell and excluded from the Pearson
+    aggregate rather than silently averaged.
     """
     cfg = cfg or SplitConfig()
     mcfg = mcfg or MetricConfig()
@@ -193,46 +195,36 @@ def perturbation_protocol(
             if p not in model.modality_inputs:
                 raise ValueError(f"unknown modality {p} in perturbation set")
 
-    def one_sample(k: int):
+    def one_sample(k: int) -> tuple[np.ndarray, ...]:
         res = decompose(model, samples[k], cfg)
-        state, clean_out = res.state, res.output
+        state, clean_rows = res.state, res.output.parts[:-1].reshape(len(modalities), -1)  # (M, entries)
         clean = {lid: res.components[lid] for lid in frontier}
         del res  # the splices read only the frontier stacks
-        rows = [[] for _ in perturb_sets]  # set-major, the order the cells sum in
-        for j in range(1, mcfg.offset_count + 1):
+
+        def one_offset(j: int) -> tuple[np.ndarray, ...]:
+            # (sets, M) scores; the runs and temporaries go before the next propagate
             replaced = propagate(model, state, samples[(k + stride * j) % n], cfg)
             replaced = {lid: replaced[lid] for lid in frontier}
-            for pset, pset_rows in zip(perturb_sets, rows):
-                pert = _splice(model, state, cfg, replaced, clean, pset)[model.output]
-                for o in modalities:
-                    a, b = clean_out.modality(o), pert.modality(o)
-                    if mcfg.positive_parts:
-                        a, b = normalize_map(a, "max-positive"), normalize_map(b, "max-positive")
-                    pset_rows.append((pset, o, *_pearson(a, b), mse(a, b)))
-        return [row for pset_rows in rows for row in pset_rows]
+            outs = [_splice(model, state, cfg, replaced, clean, p)[model.output].parts[:-1] for p in perturb_sets]
+            a, b = clean_rows, np.stack(outs).reshape(-1, *clean_rows.shape)
+            if mcfg.positive_parts:
+                a, b = _max_positive(a, -1), _max_positive(b, -1)
+            return (*_pearson(a, b), ((a - b) ** 2).mean(-1))
 
-    all_rows = [row for rows in ordered_map(one_sample, range(n)) for row in rows]
+        return tuple(map(np.stack, zip(*map(one_offset, range(1, mcfg.offset_count + 1)))))
 
+    def mean_std(x: np.ndarray) -> tuple[float, float]:
+        return (float(x.mean()), float(x.std())) if x.size else (0.0, 0.0)
+
+    # (samples, offsets, sets, M); a cell ravels in (sample, offset) order, which fixes the bits of its sums
+    pcc, degenerate, err = map(np.stack, zip(*ordered_map(one_sample, range(n))))
     cells = []
-    for pset in perturb_sets:
+    for s, pset in enumerate(perturb_sets):
         plabel = "".join(f"m{p}_p" for p in pset)
         for o in modalities:
-            sel = [r for r in all_rows if r[0] == pset and r[1] == o]
-            pccs = np.array([r[2] for r in sel if not r[3]])
-            mses = np.array([r[4] for r in sel])
-            n_deg = sum(1 for r in sel if r[3])
-            cells.append(
-                CellStats(
-                    perturbed=plabel,
-                    observed=f"m{o}",
-                    pcc_mean=float(pccs.mean()) if pccs.size else 0.0,
-                    pcc_std=float(pccs.std()) if pccs.size else 0.0,
-                    mse_mean=float(mses.mean()),
-                    mse_std=float(mses.std()),
-                    n=len(sel),
-                    n_degenerate=n_deg,
-                )
-            )
+            flags, errs = degenerate[:, :, s, o].ravel(), err[:, :, s, o].ravel()
+            pccs = pcc[:, :, s, o].ravel()[~flags]
+            cells.append(CellStats(plabel, f"m{o}", *mean_std(pccs), *mean_std(errs), errs.size, int(flags.sum())))
     return SeparationReport(cfg.label(), cells, n, mcfg.offset_count, stride)
 
 
@@ -245,6 +237,9 @@ def variant_matrix(
     """One SeparationReport per variant over identical samples and offsets."""
     if not variants:
         raise ValueError("variant list is empty")
+    for i, v in enumerate(variants):
+        if v in variants[:i]:
+            raise ValueError(f"variant {v.label()} is listed twice")
     return [perturbation_protocol(model, samples, v, mcfg) for v in variants]
 
 

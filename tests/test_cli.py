@@ -296,6 +296,30 @@ class TestMetrics:
         assert proc.stderr.splitlines()[-1].startswith("error:")
         assert not (workdir / "no_offsets.json").exists()
 
+    def test_repeated_perturbation_set_exits_2(self, workdir):
+        proc = run_cli(
+            [
+                "metrics", "--model", "model.json", "--samples", "samples.json",
+                "--perturb", "m0", "--perturb", "0", "--out", "twice.json",
+            ],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "perturbation set (0,)")
+        assert not (workdir / "twice.json").exists()
+
+    def test_repeated_variant_exits_2(self, workdir):
+        proc = run_cli(
+            [
+                "metrics", "--model", "model.json", "--samples", "samples.json",
+                "--variants", "identity-ratio,identity-ratio", "--out", "twice_variant.json",
+            ],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, "variant identity-ratio is listed twice")
+        assert not (workdir / "twice_variant.json").exists()
+
     def test_unknown_modality_exits_2(self, workdir):
         proc = run_cli(
             [

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +26,37 @@ from modaldecomp import (
     variant_matrix,
 )
 from modaldecomp.heatmap import normalize_map
+from modaldecomp.metrics import _pearson
 
 from conftest import small_model
+
+
+def dead_branch1_model():
+    """small_model with branch1_conv zeroed, so modality 1's component is identically zero."""
+    model = small_model()
+    for layer in model.layers:
+        if layer.id.startswith("branch1_conv"):
+            layer.params["weight"] = np.zeros_like(layer.params["weight"])
+            layer.params["bias"] = np.zeros_like(layer.params["bias"])
+    return model
+
+
+@st.composite
+def row_pair(draw, n):
+    """(a, b, kind): ordinary rows, one constant, identical, one non-finite, or one overflowing on centring."""
+    kind = draw(st.sampled_from(("ordinary", "constant", "identical", "non-finite", "overflow")))
+    row = st.lists(st.floats(-1e4, 1e4), min_size=n, max_size=n)
+    a, b = np.array(draw(row)), np.array(draw(row))
+    if kind == "constant":
+        a[:] = a[0]
+    elif kind == "identical":
+        b = a.copy()
+    elif kind == "non-finite":
+        a[draw(st.integers(0, n - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    elif kind == "overflow":
+        huge = st.one_of(st.floats(-1e4, 1e4), st.sampled_from((1e308, -1e308)))
+        a = np.array(draw(st.lists(huge, min_size=n, max_size=n)))
+    return (a, b, kind) if draw(st.booleans()) else (b, a, kind)
 
 
 class TestPearson:
@@ -82,6 +113,24 @@ class TestPearson:
             return
         assert abs(pearson(a, t) - pearson(a, b)) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stacked_rows_match_one_pair_each(self, data):
+        # one call over a (K, n) stack gives each row exactly what pearson gives that row alone
+        n = data.draw(st.integers(2, 24))
+        pairs = data.draw(st.lists(row_pair(n), min_size=1, max_size=6))
+        r, flags = _pearson(np.stack([a for a, _, _ in pairs]), np.stack([b for _, b, _ in pairs]))
+        assert r.shape == flags.shape == (len(pairs),)
+        for k, (a, b, kind) in enumerate(pairs):
+            assert r[k].tobytes() == np.float64(pearson(a, b)).tobytes()
+            assert bool(flags[k]) is pearson_degenerate(a, b)
+            if kind == "constant":
+                assert r[k] == 0.0 and flags[k]
+            elif kind == "identical" and not flags[k]:
+                assert r[k] == 1.0
+            elif kind == "non-finite":  # nan, unless the other row is constant
+                assert flags[k] and (np.isnan(r[k]) or np.ptp(a) == 0 or np.ptp(b) == 0)
+
 
 class TestMse:
     def test_self(self, rng):
@@ -120,6 +169,23 @@ class TestMetricConfig:
     def test_offset_count_below_one_refused(self, count):
         with pytest.raises(ValueError, match="offset_count must be at least 1"):
             MetricConfig(offset_count=count)
+
+    @pytest.mark.parametrize(
+        "perturbed, named",
+        [
+            (((),), "()"),
+            (((0, 0),), "(0, 0)"),
+            (((0,), (1,), (0,)), "(0,)"),
+            (((0, 1), (1, 0)), "(1, 0)"),
+        ],
+        ids=["empty", "repeated-modality", "repeated-set", "reordered-set"],
+    )
+    def test_bad_perturbation_sets_refused(self, perturbed, named):
+        with pytest.raises(ValueError, match=re.escape(f"perturbation set {named}")):
+            MetricConfig(perturbed=perturbed)
+
+    def test_distinct_perturbation_sets_accepted(self):
+        assert MetricConfig(perturbed=((0,), (1,), (1, 0))).perturbed == ((0,), (1,), (1, 0))
 
     def test_single_sample_refused(self):
         model = small_model()
@@ -173,23 +239,25 @@ def one_propagate_per_replacement(model, samples, cfg, mcfg):
 
 class TestProtocol:
     @pytest.mark.parametrize(
-        "spec, cfg, mcfg",
+        "make_model, cfg, mcfg",
         [
-            (dict(), SplitConfig(), MetricConfig()),
+            (small_model, SplitConfig(), MetricConfig()),
             (
-                dict(modalities=3, include_attention=True),
+                functools.partial(small_model, modalities=3, include_attention=True),
                 SplitConfig("uniform", "identity"),
                 MetricConfig(stride=1, offset_count=2, perturbed=((0,), (1, 2))),
             ),
-            (dict(), SplitConfig(act_rule="sum"), MetricConfig(stride=1, offset_count=2)),
-            (dict(), SplitConfig("uniform", "uniform", "ratio"), MetricConfig(stride=1, offset_count=2)),
-            (dict(modalities=1), SplitConfig(), MetricConfig(stride=1, offset_count=2)),
-            (dict(), SplitConfig(), MetricConfig(stride=2, offset_count=2, positive_parts=True)),
+            (small_model, SplitConfig(act_rule="sum"), MetricConfig(stride=1, offset_count=2)),
+            (small_model, SplitConfig("uniform", "uniform", "ratio"), MetricConfig(stride=1, offset_count=2)),
+            (functools.partial(small_model, modalities=1), SplitConfig(), MetricConfig(stride=1, offset_count=2)),
+            (small_model, SplitConfig(), MetricConfig(stride=2, offset_count=2, positive_parts=True)),
+            # modality 1's rows are constant, so each stacked call mixes flagged and unflagged pairs
+            (dead_branch1_model, SplitConfig(), MetricConfig(stride=1, offset_count=2)),
         ],
-        ids=["default", "m3-attention-joint", "act-sum", "act-ratio", "m1", "positive-parts"],
+        ids=["default", "m3-attention-joint", "act-sum", "act-ratio", "m1", "positive-parts", "dead-branch"],
     )
-    def test_matches_one_propagate_per_replacement(self, spec, cfg, mcfg):
-        model = small_model(**spec)
+    def test_matches_one_propagate_per_replacement(self, make_model, cfg, mcfg):
+        model = make_model()
         samples = gen_sample_set(5, model, 6)
         got = perturbation_protocol(model, samples, cfg, mcfg)
         want = one_propagate_per_replacement(model, samples, cfg, mcfg)
@@ -237,12 +305,7 @@ class TestProtocol:
             assert cell.n == 4 * 3
 
     def test_degenerate_components_counted(self):
-        # kill one branch so that modality's component is identically zero
-        model = small_model()
-        for layer in model.layers:
-            if layer.id.startswith("branch1_conv"):
-                layer.params["weight"] = np.zeros_like(layer.params["weight"])
-                layer.params["bias"] = np.zeros_like(layer.params["bias"])
+        model = dead_branch1_model()
         samples = gen_sample_set(5, model, 4)
         rep = perturbation_protocol(model, samples, SplitConfig(), MetricConfig(stride=1, offset_count=2))
         cell = rep.cell("m0_p", "m1")
@@ -283,6 +346,13 @@ class TestVariantMatrix:
         samples = gen_sample_set(5, model, 4)
         with pytest.raises(ValueError, match="empty"):
             variant_matrix(model, samples, [])
+
+    def test_repeated_variant_refused(self):
+        model = small_model()
+        samples = gen_sample_set(5, model, 4)
+        variants = [SplitConfig(), SplitConfig("uniform", "identity"), SplitConfig("identity", "ratio")]
+        with pytest.raises(ValueError, match="variant identity-ratio is listed twice"):
+            variant_matrix(model, samples, variants)
 
     def test_unperturbed_cells_ideal_across_variants(self):
         model = small_model()
