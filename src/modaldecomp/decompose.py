@@ -12,11 +12,14 @@ homogeneous linear map applied to the whole stack, a recorded constant, and
 a routing that sends the constant to the bias component ('identity'),
 spreads it over all components ('uniform'), or, for ReLU/GELU under an
 act_rule ('sum' or 'ratio'), sends it to the bias component and then moves
-the bias component's output mass to the two modalities. _push is the one
-place a frozen rule is applied. Fusion and structural layers (concatenation,
-residual add, bilinear matmul) act on the stack directly, with the component
-axis as a batch axis. At every layer the components sum to the layer's
-activation.
+the bias component's output mass to the two modalities. One plan per call
+(_Plan) binds the Dense, Conv2d and BatchNorm rules and the splice frontier;
+its per-layer step, the one place a stack is formed, binds activation and
+norm rules from the state's cache. Fusion and structural layers
+(concatenation, residual add, bilinear matmul) act on the stack directly,
+with the component axis as a batch axis. Stacks are raw (M+1, *map) arrays
+inside; DecomposedTensor wraps what the public functions return. At every
+layer the components sum to the layer's activation.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ _ACT_RULES = ("none", "sum", "ratio")
 
 _ACTIVATION_KINDS = ("ReLU", "GELU", "Softmax")
 _ACT_RULE_KINDS = ("ReLU", "GELU")  # the activations whose bias mass act_rule re-routes
-_CACHED_KINDS = _ACTIVATION_KINDS + ("LayerNorm", "InstanceNorm")
+_STATIC_KINDS = ("Dense", "Conv2d", "BatchNorm")  # rules bound without recorded values
 
 
 class DecompositionError(RuntimeError):
@@ -291,22 +294,17 @@ def _frontier(model: ModelGraph, cfg: SplitConfig) -> tuple[list[LayerSpec], set
     return suffix, frontier
 
 
-def _push(
-    layer: LayerSpec,
-    d: DecomposedTensor,
-    state: RecordedState | None,
-    cfg: SplitConfig | None,
-) -> DecomposedTensor:
-    """Apply the frozen map to every component and route the constant."""
-    fmap, const, routing = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
-    out = fmap(d.parts)
+def _push(rule, h: np.ndarray, eps: float) -> np.ndarray:
+    """Apply a bound frozen rule to the stack h: its map on every row, then its constant routed."""
+    fmap, const, routing = rule
+    out = fmap(h)
     if routing == "uniform":
         out += const / out.shape[0]
     else:
         out[-1] += const
     if routing in ("sum", "ratio"):
-        _reroute(d.parts, out, routing, cfg.epsilon)
-    return DecomposedTensor(out)
+        _reroute(h, out, routing, eps)
+    return out
 
 
 def _reroute(h: np.ndarray, out: np.ndarray, rule: str, eps: float) -> None:
@@ -334,147 +332,146 @@ def _reroute(h: np.ndarray, out: np.ndarray, rule: str, eps: float) -> None:
     out[2][fired] = 0.0
 
 
-def lin_affine(layer: LayerSpec, d: DecomposedTensor) -> DecomposedTensor:
-    """Dense/Conv2d: weights act on every component, the layer constant on bias."""
-    return _push(layer, d, None, None)
-
-
-def lin_batchnorm(layer: LayerSpec, d: DecomposedTensor, cfg: SplitConfig) -> DecomposedTensor:
-    """BatchNorm: frozen scale on every component, constant routed by bn_rule."""
-    return _push(layer, d, None, cfg)
-
-
-def lin_layernorm(
-    layer: LayerSpec,
-    d: DecomposedTensor,
-    state: RecordedState,
-    cfg: SplitConfig,
-) -> DecomposedTensor:
-    """LayerNorm with frozen variance and the mean chosen by ln_rule."""
-    return _push(layer, d, state, cfg)
-
-
-def lin_instancenorm(
-    layer: LayerSpec,
-    d: DecomposedTensor,
-    state: RecordedState,
-    cfg: SplitConfig,
-) -> DecomposedTensor:
-    """InstanceNorm: the LayerNorm rule over spatial axes, per-channel affine."""
-    return _push(layer, d, state, cfg)
-
-
-def lin_softmax(layer: LayerSpec, d: DecomposedTensor, state: RecordedState) -> DecomposedTensor:
-    """Softmax linearized like an activation (recorded chord ratios); no act_rule."""
-    return _push(layer, d, state, None)
-
-
-def lin_concat(ds: list[DecomposedTensor], axis: int) -> DecomposedTensor:
-    """Concatenate along an axis of the maps; a negative axis counts from the end."""
-    nd = ds[0].parts.ndim - 1
+def lin_concat(hs: list[np.ndarray], axis: int) -> np.ndarray:
+    """Concatenate stacks along an axis of the maps; a negative axis counts from the end."""
+    nd = hs[0].ndim - 1
     if not -nd <= axis < nd:
         raise ValueError(f"concat axis {axis} out of range for rank {nd}")
-    return DecomposedTensor(np.concatenate([d.parts for d in ds], axis=axis % nd + 1))
+    return np.concatenate(hs, axis=axis % nd + 1)
 
 
-def lin_residual_add(a: DecomposedTensor, b: DecomposedTensor) -> DecomposedTensor:
-    if a.parts.shape != b.parts.shape:
-        raise ValueError(f"residual shape mismatch: {a.parts.shape} vs {b.parts.shape}")
-    return DecomposedTensor(a.parts + b.parts)
+def lin_residual_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape != b.shape:
+        raise ValueError(f"residual shape mismatch: {a.shape} vs {b.shape}")
+    return a + b
 
 
-def lin_activation(
-    layer: LayerSpec,
-    d: DecomposedTensor,
-    state: RecordedState,
-    cfg: SplitConfig,
-) -> DecomposedTensor:
-    """Frozen activation: each component scaled by the recorded chord ratio.
-
-    The recorded residual keeps the component sum equal to the recorded
-    output. Under an act_rule ('sum' or 'ratio') the bias component's output
-    mass is then routed to the two modalities (see _reroute).
-    """
-    if cfg.act_rule != "none" and d.num_modalities != 2:
-        raise ValueError(
-            f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, "
-            f"got {d.num_modalities}"
-        )
-    return _push(layer, d, state, cfg)
-
-
-def lin_matmul(
-    a: DecomposedTensor,
-    b: DecomposedTensor,
-    transpose_b: bool = False,
-) -> DecomposedTensor:
-    """Bilinear product: same-modality terms stay modality, the rest is bias.
+def lin_matmul(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) -> np.ndarray:
+    """Bilinear product of two stacks: same-modality terms stay modality, the rest is bias.
 
     Expanding (sum_m A_m)(sum_n B_n), component m keeps A_m @ B_m, formed
     for all m in one product batched over the modality rows; every
     cross-modality term and every term touching a bias operand lands in the
     bias component, computed as the full product minus the kept terms.
     """
-    if a.num_modalities != b.num_modalities:
+    if a.shape[0] != b.shape[0]:
         raise ValueError("matmul operands disagree on modality count")
-    total = matmul_pair(a.total(), b.total(), transpose_b)
-    right = np.swapaxes(b.parts[:-1], -1, -2) if transpose_b else b.parts[:-1]
-    mods = np.matmul(a.parts[:-1], right)
-    return DecomposedTensor(np.concatenate([mods, (total - mods.sum(axis=0))[None]]))
+    total = matmul_pair(a.sum(axis=0), b.sum(axis=0), transpose_b)
+    right = np.swapaxes(b[:-1], -1, -2) if transpose_b else b[:-1]
+    mods = np.matmul(a[:-1], right)
+    return np.concatenate([mods, (total - mods.sum(axis=0))[None]])
+
+
+# --- single-input rules on a DecomposedTensor (uncalled; kept while perfbench traces them) ---
+
+
+def _push_tensor(layer, d: DecomposedTensor, state, cfg) -> DecomposedTensor:
+    rule = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
+    return DecomposedTensor(_push(rule, d.parts, cfg.epsilon if cfg else None))
+
+
+def lin_affine(layer: LayerSpec, d: DecomposedTensor) -> DecomposedTensor:
+    """Dense/Conv2d: weights act on every component, the layer constant on bias."""
+    return _push_tensor(layer, d, None, None)
+
+
+def lin_batchnorm(layer: LayerSpec, d: DecomposedTensor, cfg: SplitConfig) -> DecomposedTensor:
+    """BatchNorm: frozen scale on every component, constant routed by bn_rule."""
+    return _push_tensor(layer, d, None, cfg)
+
+
+def lin_layernorm(
+    layer: LayerSpec, d: DecomposedTensor, state: RecordedState, cfg: SplitConfig
+) -> DecomposedTensor:
+    """LayerNorm with frozen variance and the mean chosen by ln_rule."""
+    return _push_tensor(layer, d, state, cfg)
+
+
+def lin_instancenorm(
+    layer: LayerSpec, d: DecomposedTensor, state: RecordedState, cfg: SplitConfig
+) -> DecomposedTensor:
+    """InstanceNorm: the LayerNorm rule over spatial axes, per-channel affine."""
+    return _push_tensor(layer, d, state, cfg)
+
+
+def lin_softmax(layer: LayerSpec, d: DecomposedTensor, state: RecordedState) -> DecomposedTensor:
+    """Softmax linearized like an activation (recorded chord ratios); no act_rule."""
+    return _push_tensor(layer, d, state, None)
+
+
+def lin_activation(
+    layer: LayerSpec, d: DecomposedTensor, state: RecordedState, cfg: SplitConfig
+) -> DecomposedTensor:
+    """Frozen activation: components scaled by the recorded chord ratio, bias mass routed by act_rule."""
+    if cfg.act_rule != "none" and d.num_modalities != 2:
+        raise ValueError(f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, got {d.num_modalities}")
+    return _push_tensor(layer, d, state, cfg)
 
 
 # --- whole-network propagation --------------------------------------------
 
 
-def _check_config(model: ModelGraph, cfg: SplitConfig) -> None:
-    if cfg.act_rule != "none" and model.modalities != 2:
-        raise ValueError(
-            f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, "
-            f"model has {model.modalities}"
-        )
+class _Plan:
+    """What one call keeps fixed for (model, cfg), and no stack or state.
+
+    The layer order (model.layers), the splice suffix and frontier (see
+    _frontier) and the rules bound without recorded values (_STATIC_KINDS).
+    decompose, propagate, perturbation_protocol and hybrid_shapley build one
+    per call and pass it to every sweep and splice they run.
+    """
+
+    def __init__(self, model: ModelGraph, cfg: SplitConfig):
+        if cfg.act_rule != "none" and model.modalities != 2:
+            raise ValueError(
+                f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, model has {model.modalities}"
+            )
+        self.model, self.cfg = model, cfg
+        self.suffix, self.frontier = _frontier(model, cfg)
+        rank, self.rules = {}, {}
+        for layer in model.layers:
+            # every kind keeps the rank of its first input
+            rank[layer.id] = len(layer.params["shape"]) if layer.kind == "Input" else rank[layer.inputs[0]]
+            if layer.kind in _STATIC_KINDS:
+                self.rules[layer.id] = _frozen_rule(layer, None, cfg, rank[layer.id])
+
+    def step(self, layer: LayerSpec, ups: list[np.ndarray], state: RecordedState, inputs, recording: bool):
+        """The stack of layer from its input stacks ups, binding a rule not bound yet from state's cache.
+
+        A missing cache is recorded from the input stack's sum when recording, else it is a ValueError.
+        """
+        kind = layer.kind
+        if kind == "Input":
+            x = eval_layer(layer, [], inputs)
+            return split_input(x, layer.params["modality"], self.model.modalities).parts
+        if kind == "ConcatFusion":
+            return lin_concat(ups, concat_axis(layer, ups[0].ndim - 1))
+        if kind == "ResidualAdd":
+            return lin_residual_add(*ups)
+        if kind == "MatMul":
+            return lin_matmul(*ups, layer.params.get("transpose_b", False))
+        if layer.id not in self.rules and layer.id not in state.caches:
+            if not recording:
+                raise ValueError(f"state holds no cache for layer '{layer.id}' of this model")
+            state.caches[layer.id] = _layer_cache(layer, ups[0].sum(axis=0), state.epsilon)
+        rule = self.rules.get(layer.id) or _frozen_rule(layer, state, self.cfg, ups[0].ndim - 1)
+        return _push(rule, ups[0], self.cfg.epsilon)
 
 
 def _propagate_layers(
-    model: ModelGraph,
-    layers: list[LayerSpec],
-    state: RecordedState,
-    inputs: dict[int, np.ndarray] | None,
-    cfg: SplitConfig,
-    comp: dict[str, DecomposedTensor],
-) -> dict[str, DecomposedTensor]:
-    """Fill comp with the component stack of each of layers, in order.
+    plan: _Plan, layers: list[LayerSpec], state: RecordedState, inputs, comp: dict, recording: bool = False
+) -> dict[str, np.ndarray]:
+    """Fill comp with the stack of each of layers, in order (see _Plan.step).
 
     comp must already hold the stacks of every upstream layer outside layers.
-    A cache that state lacks is recorded from the sum of the input stack.
     """
-    M = model.modalities
     for layer in layers:
-        ups = [comp[i] for i in layer.inputs]
-        kind = layer.kind
-        if kind in _CACHED_KINDS and layer.id not in state.caches:
-            state.caches[layer.id] = _layer_cache(layer, ups[0].total(), state.epsilon)
-        if kind == "Input":
-            out = split_input(eval_layer(layer, [], inputs), layer.params["modality"], M)
-        elif kind == "ConcatFusion":
-            out = lin_concat(ups, concat_axis(layer, ups[0].parts.ndim - 1))
-        elif kind == "ResidualAdd":
-            out = lin_residual_add(ups[0], ups[1])
-        elif kind == "MatMul":
-            out = lin_matmul(ups[0], ups[1], layer.params.get("transpose_b", False))
-        else:
-            out = _push(layer, ups[0], state, cfg)
-        comp[layer.id] = out
+        comp[layer.id] = plan.step(layer, [comp[i] for i in layer.inputs], state, inputs, recording)
     return comp
 
 
 def _splice(
-    model: ModelGraph,
-    state: RecordedState,
-    cfg: SplitConfig,
-    take: dict[str, DecomposedTensor],
-    rest: dict[str, DecomposedTensor],
-    members,
-) -> dict[str, DecomposedTensor]:
+    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members
+) -> dict[str, np.ndarray]:
     """The stacks of a run taking the members' rows from take and every other row from rest.
 
     members is a set of modality indices. In the separable prefix (see
@@ -483,14 +480,29 @@ def _splice(
     spliced row by row and only the suffix is run again. Returns the spliced
     frontier and the suffix stacks; the output is always among them.
     """
-    suffix, frontier = _frontier(model, cfg)
-    rows = [m in members for m in range(model.modalities)] + [False]  # bias last
+    rows = [m in members for m in range(plan.model.modalities)] + [False]  # bias last
     comp = {}
-    for lid in frontier:
-        parts = take[lid].parts
-        keep = np.reshape(rows, (-1,) + (1,) * (parts.ndim - 1))
-        comp[lid] = DecomposedTensor(np.where(keep, parts, rest[lid].parts))
-    return _propagate_layers(model, suffix, state, None, cfg, comp)
+    for lid in plan.frontier:
+        keep = np.reshape(rows, (-1,) + (1,) * (take[lid].ndim - 1))
+        comp[lid] = np.where(keep, take[lid], rest[lid])
+    return _propagate_layers(plan, plan.suffix, state, None, comp)
+
+
+def _propagate(plan: _Plan, state: RecordedState, inputs: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every layer's stack under a recorded linearization (see propagate)."""
+    if plan.cfg.epsilon != state.epsilon:
+        raise ValueError(f"state was recorded with epsilon {state.epsilon}, config has {plan.cfg.epsilon}")
+    return _propagate_layers(plan, plan.model.layers, state, inputs, {})
+
+
+def _decompose(plan: _Plan, inputs: dict[int, np.ndarray]) -> tuple[dict[str, np.ndarray], RecordedState]:
+    """Every layer's stack and the state recorded in the same sweep (see decompose)."""
+    state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
+    comp = _propagate_layers(plan, plan.model.layers, state, inputs, {}, recording=True)
+    for layer in plan.model.layers:
+        if not np.all(np.isfinite(comp[layer.id].sum(axis=0))):
+            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
+    return comp, state
 
 
 def propagate(
@@ -505,16 +517,8 @@ def propagate(
     a linearization recorded from clean inputs. Raises ValueError naming the
     first layer whose cache the state lacks, as a state of another model does.
     """
-    cfg = cfg or SplitConfig()
-    _check_config(model, cfg)
-    if cfg.epsilon != state.epsilon:
-        raise ValueError(
-            f"state was recorded with epsilon {state.epsilon}, config has {cfg.epsilon}"
-        )
-    for layer in model.layers:
-        if layer.kind in _CACHED_KINDS and layer.id not in state.caches:
-            raise ValueError(f"state holds no cache for layer '{layer.id}' of this model")
-    return _propagate_layers(model, model.layers, state, inputs, cfg, {})
+    comp = _propagate(_Plan(model, cfg or SplitConfig()), state, inputs)
+    return {lid: DecomposedTensor(h) for lid, h in comp.items()}
 
 
 @dataclass
@@ -530,13 +534,8 @@ def decompose(
     cfg: SplitConfig | None = None,
 ) -> DecompositionResult:
     """Record and propagate in one sweep; raises DecompositionError at a non-finite layer."""
-    cfg = cfg or SplitConfig()
-    _check_config(model, cfg)
-    state = RecordedState(dict(inputs), {}, cfg.epsilon)
-    comp = _propagate_layers(model, model.layers, state, inputs, cfg, {})
-    for layer in model.layers:
-        if not np.all(np.isfinite(comp[layer.id].total())):
-            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
+    comp, state = _decompose(_Plan(model, cfg or SplitConfig()), inputs)
+    comp = {lid: DecomposedTensor(h) for lid, h in comp.items()}
     return DecompositionResult(comp, comp[model.output], state)
 
 

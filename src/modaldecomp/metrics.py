@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decompose import SplitConfig, _frontier, _splice, decompose, propagate
+from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice
 from .heatmap import _max_positive
 from .model import ModelGraph
 from .parallel import ordered_map
@@ -41,7 +41,8 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a and b broadcast against each other. Degenerate means a constant row,
     whose correlation is undefined and reads 0.0 by convention, or else a
     non-finite spread (a non-finite entry, or one so large that centring
-    overflows), which reads nan. Identical rows read exactly 1.0.
+    overflows), which reads nan. Identical rows read exactly 1.0 (numerator
+    and squared norms are one float s, and sqrt(s * s) rounds to s).
     """
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"pearson shape mismatch: {a.shape} vs {b.shape}")
@@ -58,8 +59,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         da, db = da / sa, db / sb
         r = np.clip((da * db).sum(-1) / np.sqrt((da * da).sum(-1) * (db * db).sum(-1)), -1.0, 1.0)
     finite = np.isfinite(sa[..., 0]) & np.isfinite(sb[..., 0])
-    # identical rows correlate exactly; do not let sqrt rounding shave an ulp
-    r = np.where(finite, np.where(np.all(a == b, -1), 1.0, r), np.nan)
+    r = np.where(finite, r, np.nan)
     return np.where(constant, 0.0, r), constant | ~finite
 
 
@@ -95,9 +95,9 @@ class MetricConfig:
     Sample k is compared against samples k + stride*j (mod N) for
     j = 1..offset_count. stride=None picks max(1, N // 12). perturbed names
     the modality sets to replace, one at a time; None means every single
-    modality. The sets must be non-empty, name each modality at most once
-    and be distinct as sets. positive_parts scores max(x, 0)/max instead of
-    raw signed components.
+    modality; an empty tuple is refused. The sets must be non-empty, name
+    each modality at most once and be distinct as sets. positive_parts
+    scores max(x, 0)/max instead of raw signed components.
     """
 
     stride: int | None = None
@@ -108,6 +108,8 @@ class MetricConfig:
     def __post_init__(self):
         if self.offset_count < 1:
             raise ValueError(f"offset_count must be at least 1, got {self.offset_count}")
+        if self.perturbed is not None and not self.perturbed:
+            raise ValueError("perturbed names no perturbation set; None means every single modality")
         for i, pset in enumerate(self.perturbed or ()):
             if not pset or len(set(pset)) < len(pset) or set(pset) in map(set, self.perturbed[:i]):
                 raise ValueError(f"perturbation set {tuple(pset)} is empty, repeats a modality or repeats a set")
@@ -188,24 +190,24 @@ def perturbation_protocol(
         raise ValueError("perturbation protocol needs at least two samples")
     stride = mcfg.resolve_stride(n)
     modalities = sorted(model.modality_inputs)
-    perturb_sets = mcfg.perturbed or tuple((m,) for m in modalities)
-    frontier = _frontier(model, cfg)[1]
+    perturb_sets = tuple((m,) for m in modalities) if mcfg.perturbed is None else mcfg.perturbed
     for pset in perturb_sets:
         for p in pset:
             if p not in model.modality_inputs:
                 raise ValueError(f"unknown modality {p} in perturbation set")
+    plan = _Plan(model, cfg)
 
     def one_sample(k: int) -> tuple[np.ndarray, ...]:
-        res = decompose(model, samples[k], cfg)
-        state, clean_rows = res.state, res.output.parts[:-1].reshape(len(modalities), -1)  # (M, entries)
-        clean = {lid: res.components[lid] for lid in frontier}
-        del res  # the splices read only the frontier stacks
+        comp, state = _decompose(plan, samples[k])
+        clean_rows = comp[model.output][:-1].reshape(len(modalities), -1)  # (M, entries)
+        clean = {lid: comp[lid] for lid in plan.frontier}
+        del comp  # the splices read only the frontier stacks
 
         def one_offset(j: int) -> tuple[np.ndarray, ...]:
             # (sets, M) scores; the runs and temporaries go before the next propagate
-            replaced = propagate(model, state, samples[(k + stride * j) % n], cfg)
-            replaced = {lid: replaced[lid] for lid in frontier}
-            outs = [_splice(model, state, cfg, replaced, clean, p)[model.output].parts[:-1] for p in perturb_sets]
+            replaced = _propagate(plan, state, samples[(k + stride * j) % n])
+            replaced = {lid: replaced[lid] for lid in plan.frontier}
+            outs = [_splice(plan, state, replaced, clean, p)[model.output][:-1] for p in perturb_sets]
             a, b = clean_rows, np.stack(outs).reshape(-1, *clean_rows.shape)
             if mcfg.positive_parts:
                 a, b = _max_positive(a, -1), _max_positive(b, -1)

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, _splice, decompose, propagate
+from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice
 from .model import ModelGraph, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -120,38 +120,36 @@ def hybrid_shapley(
     m = model.modalities
     if m > MAX_MODALITIES:
         raise ValueError(f"{m} modalities would need 2^{m} forwards; guard is {MAX_MODALITIES}")
+    if method not in ("shapley", "proportional"):
+        raise ValueError(f"unknown redistribution method '{method}'")
+    plan = _Plan(model, cfg)
     if state is None:
-        res = decompose(model, inputs, cfg)
-        state, full = res.state, res.components
+        full, state = _decompose(plan, inputs)
     else:
-        full = propagate(model, state, inputs, cfg)
+        full = _propagate(plan, state, inputs)
     out = full[model.output]
-    components = {i: out.modality(i) for i in range(m)}
-    h_bias = out.bias
-    total = out.total()
+    h_bias, total = out[-1], out.sum(axis=0)
 
     if method == "proportional":
-        mags = np.stack([np.abs(components[i]) for i in range(m)])
+        mags = np.abs(out[:-1])
         denom = mags.sum(axis=0) + cfg.epsilon
         shares = {i: mags[i] / denom * h_bias for i in range(m)}
         base = h_bias - sum(shares.values())
-        per = {i: components[i] + shares[i] for i in range(m)}
+        per = {i: out[i] + shares[i] for i in range(m)}
         return Attribution(base=base, per_modality=per, n_forwards=1, total=total)
-    if method != "shapley":
-        raise ValueError(f"unknown redistribution method '{method}'")
 
     zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    empty = propagate(model, state, zeros, cfg)
+    empty = _propagate(plan, state, zeros)
     everyone = (1 << m) - 1
-    bias_values = {0: empty[model.output].bias, everyone: h_bias}
+    bias_values = {0: empty[model.output][-1], everyone: h_bias}
     # A coalition's run takes its members' rows from the full run and the
     # rest from the empty run; _splice reruns only the layers past the
     # row-separable prefix.
     for mask in range(1, everyone):
         members = {i for i in range(m) if mask >> i & 1}
-        bias_values[mask] = _splice(model, state, cfg, full, empty, members)[model.output].bias
+        bias_values[mask] = _splice(plan, state, full, empty, members)[model.output][-1]
     phis = _shapley_from_values(bias_values, m)
-    per = {i: components[i] + phis[i] for i in range(m)}
+    per = {i: out[i] + phis[i] for i in range(m)}
     return Attribution(
         base=bias_values[0],
         per_modality=per,

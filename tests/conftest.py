@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modaldecomp import GenSpec, LayerSpec, ModelGraph, gen_synthetic_model
+from modaldecomp import DecomposedTensor, GenSpec, LayerSpec, ModelGraph, SplitConfig, gen_synthetic_model
+from modaldecomp.decompose import _frozen_rule, _push
 
 # CLI tests run `python -m modaldecomp` in temporary directories, where a
 # relative PYTHONPATH entry such as `src` no longer resolves.
@@ -19,6 +20,12 @@ def small_model(seed=7, **overrides):
     kw = dict(grid=8, channels=4, depth=2)
     kw.update(overrides)
     return gen_synthetic_model(seed, GenSpec(**kw))
+
+
+def push(layer, d, state=None, cfg=SplitConfig()):
+    """A single-input layer's frozen rule on d: bound as a sweep binds it, applied by _push."""
+    rule = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
+    return DecomposedTensor(_push(rule, d.parts, cfg.epsilon))
 
 
 def scalar_pair_model(w0=2.0, w1=3.0, bias=1.0):

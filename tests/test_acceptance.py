@@ -26,7 +26,6 @@ from modaldecomp import (
     forward,
     gen_sample_set,
     gen_synthetic_model,
-    lin_activation,
     lin_matmul,
     perturbation_protocol,
     propagate,
@@ -35,7 +34,7 @@ from modaldecomp import (
 )
 from modaldecomp.decompose import _chord_ratio
 
-from conftest import scalar_pair_model, small_model
+from conftest import push, scalar_pair_model, small_model
 from test_superposition import ELEMENT_KINDS, build_case, run_rule
 
 EQ_TOL = 1e-9
@@ -165,12 +164,12 @@ def test_criterion_5_superposition():
             lhs = modality0_out(a + b + c)
             rhs = modality0_out(a) + modality0_out(b) + modality0_out(c)
             worst = max(worst, np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(lhs))))
-    fixed = DecomposedTensor(rng.normal(size=(3, 4, 4)))
+    fixed = rng.normal(size=(3, 4, 4))
     for _ in range(1000):
-        a, b, c = (DecomposedTensor(rng.normal(size=(3, 4, 4))) for _ in range(3))
-        summed = DecomposedTensor(a.parts + b.parts + c.parts)
-        lhs = lin_matmul(summed, fixed).parts
-        rhs = lin_matmul(a, fixed).parts + lin_matmul(b, fixed).parts + lin_matmul(c, fixed).parts
+        a, b, c = (rng.normal(size=(3, 4, 4)) for _ in range(3))
+        summed = a + b + c
+        lhs = lin_matmul(summed, fixed)
+        rhs = lin_matmul(a, fixed) + lin_matmul(b, fixed) + lin_matmul(c, fixed)
         worst = max(worst, np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(lhs))))
     assert worst <= EQ_TOL
     print(f"\nACCEPTANCE 5 superposition: PASS (worst deviation {worst:.3e})")
@@ -253,7 +252,7 @@ def test_criterion_8_hand_traces():
         c, r = _chord_ratio(pre, out, eps)
         layer = LayerSpec("y", "ReLU", ["x"], {})
         state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, eps)
-        return lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule)), out
+        return push(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule)), out
 
     got, out = run([-1.0, 2.0, 1.0], "sum")
     assert np.allclose(got.parts[:, 0], [-1.0, 3.0, 0.0], atol=1e-6)

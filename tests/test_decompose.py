@@ -8,6 +8,7 @@ from modaldecomp import (
     DecomposedTensor,
     DecompositionError,
     LayerSpec,
+    MetricConfig,
     ModelError,
     ModelGraph,
     RecordedState,
@@ -16,13 +17,11 @@ from modaldecomp import (
     equality_residuals,
     forward,
     gen_sample_set,
-    lin_affine,
-    lin_batchnorm,
+    hybrid_shapley,
     lin_concat,
-    lin_instancenorm,
     lin_matmul,
     lin_residual_add,
-    lin_softmax,
+    perturbation_protocol,
     propagate,
     record,
     split_input,
@@ -30,7 +29,7 @@ from modaldecomp import (
 from modaldecomp.decompose import _chord_ratio, _frozen_rule
 from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
-from conftest import scalar_pair_model, small_model
+from conftest import push, scalar_pair_model, small_model
 
 EPS = 1e-6
 
@@ -117,13 +116,13 @@ class TestSplitInput:
 class TestAffineRule:
     def test_dense_hand_example(self):
         layer = LayerSpec("y", "Dense", ["x"], {"weight": np.array([[2.0]]), "bias": np.array([1.0])})
-        out = lin_affine(layer, dt([1.0], [2.0], [0.0]))
+        out = push(layer, dt([1.0], [2.0], [0.0]))
         assert np.array_equal(out.parts[:, 0], [2.0, 4.0, 1.0])
         assert np.array_equal(out.total(), [7.0])
 
     def test_zero_weights_leave_only_layer_bias(self):
         layer = LayerSpec("y", "Dense", ["x"], {"weight": np.zeros((2, 3)), "bias": np.array([5.0, -1.0])})
-        out = lin_affine(layer, DecomposedTensor(np.random.default_rng(0).normal(size=(3, 3))))
+        out = push(layer, DecomposedTensor(np.random.default_rng(0).normal(size=(3, 3))))
         assert np.all(out.parts[:2] == 0.0)
         assert np.array_equal(out.bias, [5.0, -1.0])
 
@@ -137,7 +136,7 @@ class TestAffineRule:
             {"weight": rng.normal(size=(2, 3, 3, 3)), "bias": rng.normal(size=2), "stride": 1, "padding": 1},
         )
         d = DecomposedTensor(rng.normal(size=(3, 3, 5, 5)))
-        out = lin_affine(layer, d)
+        out = push(layer, d)
         ref = conv2d(d.total(), layer.params["weight"], layer.params["bias"], 1, 1)
         assert np.allclose(out.total(), ref, rtol=1e-12, atol=1e-12)
 
@@ -161,21 +160,21 @@ class TestStructuralRules:
     def test_concat_componentwise(self):
         a = dt([1.0], [0.0], [0.0])
         b = dt([0.0], [2.0], [0.0])
-        out = lin_concat([a, b], 0)
+        out = DecomposedTensor(lin_concat([a.parts, b.parts], 0))
         assert np.array_equal(out.modality(0), [1.0, 0.0])
         assert np.array_equal(out.modality(1), [0.0, 2.0])
         assert np.array_equal(out.bias, [0.0, 0.0])
 
     def test_residual_with_zero(self, rng):
         d = DecomposedTensor(rng.normal(size=(3, 4)))
-        out = lin_residual_add(d, DecomposedTensor(np.zeros((3, 4))))
+        out = DecomposedTensor(lin_residual_add(d.parts, np.zeros((3, 4))))
         assert np.array_equal(out.parts, d.parts)
 
     def test_sum_preserved(self, rng):
         a = DecomposedTensor(rng.normal(size=(3, 4)))
         b = DecomposedTensor(rng.normal(size=(3, 4)))
-        assert np.allclose(lin_residual_add(a, b).total(), a.total() + b.total())
-        cat = lin_concat([a, b], 0)
+        assert np.allclose(lin_residual_add(a.parts, b.parts).sum(axis=0), a.total() + b.total())
+        cat = DecomposedTensor(lin_concat([a.parts, b.parts], 0))
         assert np.allclose(cat.total(), np.concatenate([a.total(), b.total()]))
 
 
@@ -198,24 +197,24 @@ class TestBatchNormRule:
     def test_identity_normalization_is_noop(self, rng):
         layer = bn_layer(1.0, 0.0, 0.0, 1.0)
         d = DecomposedTensor(rng.normal(size=(3, 1)))
-        assert np.allclose(lin_batchnorm(layer, d, SplitConfig()).parts, d.parts)
+        assert np.allclose(push(layer, d).parts, d.parts)
 
     def test_identity_rule_hand_example(self):
         layer = bn_layer(2.0, 1.0, 0.5, 1.0)
-        out = lin_batchnorm(layer, dt([1.0], [0.0], [0.5]), SplitConfig(bn_rule="identity"))
+        out = push(layer, dt([1.0], [0.0], [0.5]), None, SplitConfig(bn_rule="identity"))
         assert np.allclose(out.parts[:, 0], [2.0, 0.0, 1.0])
         assert np.allclose(out.total(), [2.0 * (1.5 - 0.5) + 1.0])
 
     def test_uniform_rule_with_vanishing_constant(self):
         # beta - mean*gamma/std = 0 here, so both rules coincide
         layer = bn_layer(2.0, 1.0, 0.5, 1.0)
-        a = lin_batchnorm(layer, dt([1.0], [0.0], [0.5]), SplitConfig(bn_rule="identity"))
-        b = lin_batchnorm(layer, dt([1.0], [0.0], [0.5]), SplitConfig(bn_rule="uniform"))
+        a = push(layer, dt([1.0], [0.0], [0.5]), None, SplitConfig(bn_rule="identity"))
+        b = push(layer, dt([1.0], [0.0], [0.5]), None, SplitConfig(bn_rule="uniform"))
         assert np.allclose(a.parts, b.parts)
 
     def test_uniform_rule_spreads_constant(self):
         layer = bn_layer(1.0, 3.0, 0.0, 1.0)
-        out = lin_batchnorm(layer, dt([0.0], [0.0], [0.0]), SplitConfig(bn_rule="uniform"))
+        out = push(layer, dt([0.0], [0.0], [0.0]), None, SplitConfig(bn_rule="uniform"))
         assert np.allclose(out.parts[:, 0], [1.0, 1.0, 1.0])
 
 
@@ -246,14 +245,12 @@ class TestNormRulesOnNets:
             EPS,
         )
         d = DecomposedTensor(np.stack([pre, np.zeros_like(pre), np.zeros_like(pre)]))
-        out = lin_instancenorm(layer, d, state, SplitConfig())
+        out = push(layer, d, state)
         assert np.all(out.modality(0) == 0.0)
         assert np.allclose(out.bias, 0.7)
 
     def test_layernorm_per_component_centering_sums(self, rng):
         # E[sum of parts] == sum of E[parts]: centered components reassemble
-        from modaldecomp.decompose import lin_layernorm
-
         gamma = rng.uniform(0.8, 1.2, size=(2, 3))
         layer = LayerSpec(
             "y",
@@ -267,7 +264,7 @@ class TestNormRulesOnNets:
         state = RecordedState({}, {"y": {"mean": mean, "var": var}}, EPS)
         parts = rng.normal(size=(3, 2, 3))
         parts[2] = pre - parts[0] - parts[1]
-        out = lin_layernorm(layer, DecomposedTensor(parts), state, SplitConfig(ln_rule="ratio"))
+        out = push(layer, DecomposedTensor(parts), state, SplitConfig(ln_rule="ratio"))
         ref = (pre - mean) / np.sqrt(var + 1e-5) * gamma + layer.params["beta"]
         assert np.allclose(out.total(), ref, rtol=1e-12, atol=1e-12)
 
@@ -280,7 +277,7 @@ class TestSoftmaxRule:
         layer = LayerSpec("y", "Softmax", ["x"], {"axis": 0})
         state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
         d = DecomposedTensor(np.stack([pre * 0.25, pre * 0.75, np.zeros(2)]))
-        out = lin_softmax(layer, d, state)
+        out = push(layer, d, state)
         assert np.allclose(c, 0.5 / (1.0 + EPS))
         assert np.allclose(out.total(), out_ref, rtol=1e-12)
 
@@ -291,7 +288,7 @@ class TestSoftmaxRule:
         layer = LayerSpec("y", "Softmax", ["x"], {"axis": 0})
         state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
         d = DecomposedTensor(np.stack([np.ones(2), -np.ones(2), np.zeros(2)]))
-        out = lin_softmax(layer, d, state)
+        out = push(layer, d, state)
         assert np.all(np.isfinite(out.parts))
         assert np.allclose(out.total(), out_ref)
         assert np.allclose(out.bias, out_ref)  # everything re-routed to bias
@@ -304,7 +301,7 @@ class TestSoftmaxRule:
         state = RecordedState({}, {"y": {"ratio": c, "residual": r}}, EPS)
         parts = rng.normal(size=(3, 6))
         parts[2] = pre - parts[0] - parts[1]
-        out = lin_softmax(layer, DecomposedTensor(parts), state)
+        out = push(layer, DecomposedTensor(parts), state)
         assert np.allclose(out.total(), out_ref, rtol=1e-9)
 
 
@@ -312,7 +309,7 @@ class TestMatMulRule:
     def test_scalar_expansion(self):
         a = DecomposedTensor(np.array([[[1.0]], [[2.0]], [[0.0]]]))
         b = DecomposedTensor(np.array([[[3.0]], [[0.0]], [[1.0]]]))
-        out = lin_matmul(a, b)
+        out = DecomposedTensor(lin_matmul(a.parts, b.parts))
         assert out.modality(0)[0, 0] == 3.0
         assert out.modality(1)[0, 0] == 0.0
         assert out.bias[0, 0] == 9.0
@@ -320,7 +317,7 @@ class TestMatMulRule:
     def test_pure_bias_operand(self, rng):
         a = DecomposedTensor(np.stack([np.zeros((2, 2)), np.zeros((2, 2)), rng.normal(size=(2, 2))]))
         b = DecomposedTensor(rng.normal(size=(3, 2, 2)))
-        out = lin_matmul(a, b)
+        out = DecomposedTensor(lin_matmul(a.parts, b.parts))
         assert np.all(out.modality(0) == 0.0) and np.all(out.modality(1) == 0.0)
 
     @pytest.mark.parametrize("rows", [2, 3, 5])
@@ -329,7 +326,7 @@ class TestMatMulRule:
     def test_matches_per_modality_products(self, rng, rows, batch, transpose_b):
         a = DecomposedTensor(rng.normal(size=(rows,) + batch + (4, 5)))
         b = DecomposedTensor(rng.normal(size=(rows,) + batch + ((2, 5) if transpose_b else (5, 2))))
-        out = lin_matmul(a, b, transpose_b)
+        out = DecomposedTensor(lin_matmul(a.parts, b.parts, transpose_b))
         mods = [matmul_pair(a.parts[m], b.parts[m], transpose_b) for m in range(rows - 1)]
         bias = matmul_pair(a.total(), b.total(), transpose_b) - sum(mods)
         assert np.array_equal(out.parts, np.stack(mods + [bias]))
@@ -337,7 +334,7 @@ class TestMatMulRule:
     def test_distributivity_exact(self, rng):
         a = DecomposedTensor(rng.normal(size=(3, 4, 5)))
         b = DecomposedTensor(rng.normal(size=(3, 5, 2)))
-        out = lin_matmul(a, b)
+        out = DecomposedTensor(lin_matmul(a.parts, b.parts))
         assert np.allclose(out.total(), a.total() @ b.total(), rtol=1e-12, atol=1e-12)
 
 
@@ -514,6 +511,26 @@ class TestOneSweep:
         name = model.modality_inputs[1]
         with pytest.raises(DecompositionError, match=f"non-finite activation in layer '{name}'"):
             decompose(model, x)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("call", ["protocol", "hybrid"])
+    def test_one_plan_per_call(self, monkeypatch, call):
+        """One frontier walk per call, and each Dense/Conv2d/BatchNorm rule bound once."""
+        engine = sys.modules["modaldecomp.decompose"]  # the package binds the name to the function
+        walks, bound = [], []
+        frontier, frozen_rule = engine._frontier, engine._frozen_rule
+        monkeypatch.setattr(engine, "_frontier", lambda *a: walks.append(1) or frontier(*a))
+        monkeypatch.setattr(engine, "_frozen_rule", lambda layer, *a: bound.append(layer.id) or frozen_rule(layer, *a))
+        if call == "protocol":
+            model = small_model(include_attention=True)
+            perturbation_protocol(model, gen_sample_set(3, model, 4), mcfg=MetricConfig(stride=1, offset_count=2))
+        else:
+            model = small_model(include_attention=True, modalities=4)
+            hybrid_shapley(model, gen_sample_set(3, model, 1)[0])
+        assert len(walks) == 1
+        static = [layer.id for layer in model.layers if layer.kind in ("Dense", "Conv2d", "BatchNorm")]
+        assert static and sorted(lid for lid in bound if lid in static) == sorted(static)
 
 
 class TestPropagateReadsState:

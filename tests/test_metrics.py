@@ -96,6 +96,16 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
 
+    def test_identical_rows_read_exactly_one(self):
+        # numerator and both squared norms are one float s, and sqrt(s * s) rounds back to s
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 3, 17)) * 10.0 ** rng.uniform(-300, 300, size=(6, 3, 1))
+        # a (sets, M, entries) stack against itself, and one (M, entries) set against the stack
+        for r, flags in (_pearson(a, a.copy()), _pearson(a[0], np.broadcast_to(a[0], a.shape))):
+            assert r.shape == (6, 3) and not flags.any()
+            assert np.all(r == 1.0)
+        assert all(pearson(row, row.copy()) == 1.0 for row in a.reshape(-1, 17))
+
     @settings(max_examples=60, deadline=None)
     @given(
         xs=st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=24),
@@ -183,6 +193,10 @@ class TestMetricConfig:
     def test_bad_perturbation_sets_refused(self, perturbed, named):
         with pytest.raises(ValueError, match=re.escape(f"perturbation set {named}")):
             MetricConfig(perturbed=perturbed)
+
+    def test_no_perturbation_sets_refused(self):
+        with pytest.raises(ValueError, match="names no perturbation set"):
+            MetricConfig(perturbed=())
 
     def test_distinct_perturbation_sets_accepted(self):
         assert MetricConfig(perturbed=((0,), (1,), (1, 0))).perturbed == ((0,), (1,), (1, 0))

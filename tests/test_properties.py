@@ -29,7 +29,7 @@ from modaldecomp import (
     gen_synthetic_model,
     propagate,
 )
-from modaldecomp.decompose import _splice
+from modaldecomp.decompose import _Plan, _splice
 
 
 def _ordered_subset(names):
@@ -68,13 +68,15 @@ def test_equality_and_splice_on_generated_graphs(case):
     zeros = {m: np.zeros_like(x[m]) for m in range(M)}
     empty = propagate(model, res.state, zeros, cfg)
     replaced = propagate(model, res.state, y, cfg)
-    for take, rest, src, dst in ((res.components, empty, x, zeros), (replaced, res.components, y, x)):
-        spliced = _splice(model, res.state, cfg, take, rest, members)
+    plan = _Plan(model, cfg)
+    full, empty, replaced = ({lid: d.parts for lid, d in c.items()} for c in (res.components, empty, replaced))
+    for take, rest, src, dst in ((full, empty, x, zeros), (replaced, full, y, x)):
+        spliced = _splice(plan, res.state, take, rest, members)
         spliced_inputs = {m: src[m] if m in members else dst[m] for m in range(M)}
         ref = propagate(model, res.state, spliced_inputs, cfg)
         assert model.output in spliced
-        for lid, d in spliced.items():
-            assert np.array_equal(d.parts, ref[lid].parts), lid
+        for lid, h in spliced.items():
+            assert np.array_equal(h, ref[lid].parts), lid
 
     cancellation = max(
         np.abs(d.parts).max() / (1.0 + np.abs(d.total()).max()) for d in res.components.values()

@@ -1,4 +1,5 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ class TestHybrid:
         x = gen_sample_set(1, model, 1)[0]
         with pytest.raises(ValueError, match="redistribution"):
             hybrid_shapley(model, x, method="magic")
+
+    def test_unknown_method_refused_before_decomposing(self, monkeypatch):
+        shapley_module = sys.modules["modaldecomp.shapley"]  # the package binds the name to the function
+
+        def no_sweep(*args):
+            raise AssertionError("decomposed before checking the method")
+
+        monkeypatch.setattr(shapley_module, "_decompose", no_sweep)
+        model = small_model()
+        with pytest.raises(ValueError, match="unknown redistribution method 'magic'"):
+            hybrid_shapley(model, gen_sample_set(1, model, 1)[0], method="magic")
 
     def replacement_correlations(self, model, samples, pairs):
         """Correlation of the unperturbed modality's attribution before and

@@ -16,7 +16,7 @@ from modaldecomp import (
 )
 from modaldecomp.decompose import _chord_ratio
 
-from conftest import small_model
+from conftest import push, small_model
 
 EPS = 1e-6
 
@@ -34,7 +34,7 @@ def run_rule(components, rule):
     parts = np.stack([np.atleast_1d(np.asarray(c, float)) for c in components])
     pre = parts.sum(axis=0)
     layer, state, out = relu_state(pre)
-    got = lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
+    got = push(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
     return got, out
 
 
@@ -91,7 +91,7 @@ class TestRuleInvariants:
         parts = rng.normal(size=(3, 200))
         pre = parts.sum(axis=0)
         layer, state, _ = relu_state(pre)
-        got = lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
+        got = push(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
         h0, h1, hb = parts
         if rule == "sum":
             fired = ((h0 > 0) & (h1 < 0) & (hb > 0)) | ((h0 < 0) & (h1 > 0) & (hb < 0))
@@ -107,7 +107,7 @@ class TestRuleInvariants:
         """The routing after the frozen map equals re-routing the input bias row first."""
         parts = rng.normal(size=(3, 400))
         layer, state, _ = relu_state(parts.sum(axis=0))
-        got = lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
+        got = push(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
         c, r = state.caches["y"]["ratio"], state.caches["y"]["residual"]
         h0, h1, hb = parts
         if rule == "sum":
@@ -133,7 +133,7 @@ class TestRuleInvariants:
         parts = rng.normal(size=(3, 100))
         pre = parts.sum(axis=0)
         layer, state, out = relu_state(pre)
-        got = lin_activation(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
+        got = push(layer, DecomposedTensor(parts), state, SplitConfig(act_rule=rule))
         dead = out == 0.0
         assert dead.any()
         assert np.all(got.parts[:, dead] == 0.0)

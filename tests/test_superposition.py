@@ -19,10 +19,20 @@ from modaldecomp import (
     propagate,
     record,
 )
-from modaldecomp.decompose import _chord_ratio, _push
+from modaldecomp.decompose import (
+    _chord_ratio,
+    lin_activation,
+    lin_affine,
+    lin_batchnorm,
+    lin_concat,
+    lin_instancenorm,
+    lin_layernorm,
+    lin_residual_add,
+    lin_softmax,
+)
 from modaldecomp.model import eval_layer
 
-from conftest import small_model
+from conftest import push, small_model
 
 EPS = 1e-6
 SHAPE = (2, 4, 4)
@@ -83,34 +93,30 @@ def build_case(kind, rng):
 
 
 def run_rule(layer, state, cfg, d):
-    from modaldecomp.decompose import (
-        lin_activation,
-        lin_affine,
-        lin_batchnorm,
-        lin_concat,
-        lin_instancenorm,
-        lin_layernorm,
-        lin_residual_add,
-        lin_softmax,
-    )
-
-    kind = layer.kind
-    if kind in ("Dense", "Conv2d"):
-        return lin_affine(layer, d)
-    if kind in ("ReLU", "GELU"):
-        return lin_activation(layer, d, state, cfg)
-    if kind == "Softmax":
-        return lin_softmax(layer, d, state)
-    if kind == "BatchNorm":
-        return lin_batchnorm(layer, d, cfg)
-    if kind == "LayerNorm":
-        return lin_layernorm(layer, d, state, cfg)
-    if kind == "InstanceNorm":
-        return lin_instancenorm(layer, d, state, cfg)
-    raise ValueError(kind)
+    return push(layer, d, state, cfg)
 
 
 ELEMENT_KINDS = ["Dense", "Conv2d", "BatchNorm", "LayerNorm", "InstanceNorm", "ReLU", "GELU", "Softmax"]
+
+# the single-input lin_* functions, each called with the arguments it takes
+WRAPPERS = {
+    "Dense": lambda layer, d, state, cfg: lin_affine(layer, d),
+    "Conv2d": lambda layer, d, state, cfg: lin_affine(layer, d),
+    "BatchNorm": lambda layer, d, state, cfg: lin_batchnorm(layer, d, cfg),
+    "LayerNorm": lin_layernorm,
+    "InstanceNorm": lin_instancenorm,
+    "ReLU": lin_activation,
+    "GELU": lin_activation,
+    "Softmax": lambda layer, d, state, cfg: lin_softmax(layer, d, state),
+}
+
+
+@pytest.mark.parametrize("kind", ELEMENT_KINDS)
+def test_lin_wrappers_match_push(kind, rng):
+    layer, state, _ = build_case(kind, rng)
+    for cfg in (SplitConfig(), SplitConfig("uniform", "identity")):
+        d = DecomposedTensor(rng.normal(size=(3,) + SHAPE))
+        assert np.array_equal(WRAPPERS[kind](layer, d, state, cfg).parts, push(layer, d, state, cfg).parts)
 
 
 @pytest.mark.parametrize("kind", ELEMENT_KINDS)
@@ -140,8 +146,8 @@ CONFIGS = [
 
 
 def frozen_layer(layer, state, cfg, x):
-    """The frozen linearized layer on a plain tensor: _push on a one-modality stack."""
-    return _push(layer, DecomposedTensor(np.stack([x, np.zeros_like(x)])), state, cfg).total()
+    """The frozen linearized layer on a plain tensor: its rule on a one-modality stack."""
+    return push(layer, DecomposedTensor(np.stack([x, np.zeros_like(x)])), state, cfg).total()
 
 
 @pytest.mark.parametrize("kind", ELEMENT_KINDS)
@@ -184,29 +190,25 @@ def test_softmax_stack_ignores_act_rule():
 
 
 def test_structural_rules_additive(rng):
-    from modaldecomp.decompose import lin_concat, lin_residual_add
-
     for _ in range(10):
-        a = DecomposedTensor(rng.normal(size=(3, 4)))
-        b = DecomposedTensor(rng.normal(size=(3, 4)))
-        c = DecomposedTensor(rng.normal(size=(3, 4)))
-        lhs = lin_residual_add(lin_residual_add(a, b), c).parts
-        rhs = a.parts + b.parts + c.parts
+        a, b, c = rng.normal(size=(3, 3, 4))
+        lhs = lin_residual_add(lin_residual_add(a, b), c)
+        rhs = a + b + c
         assert np.allclose(lhs, rhs, rtol=1e-12)
         cat = lin_concat([a, b], 0)
-        assert np.allclose(cat.total(), np.concatenate([a.total(), b.total()]), rtol=1e-12)
+        assert np.allclose(cat.sum(axis=0), np.concatenate([a.sum(axis=0), b.sum(axis=0)]), rtol=1e-12)
 
 
 def test_matmul_additive_per_operand(rng):
-    fixed = DecomposedTensor(rng.normal(size=(3, 4, 4)))
+    fixed = rng.normal(size=(3, 4, 4))
     for _ in range(20):
-        a, b, c = (DecomposedTensor(rng.normal(size=(3, 4, 4))) for _ in range(3))
-        summed = DecomposedTensor(a.parts + b.parts + c.parts)
-        lhs = lin_matmul(summed, fixed).parts
-        rhs = lin_matmul(a, fixed).parts + lin_matmul(b, fixed).parts + lin_matmul(c, fixed).parts
+        a, b, c = rng.normal(size=(3, 3, 4, 4))
+        summed = a + b + c
+        lhs = lin_matmul(summed, fixed)
+        rhs = lin_matmul(a, fixed) + lin_matmul(b, fixed) + lin_matmul(c, fixed)
         scale = 1.0 + np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) / scale <= 1e-9
         # and in the right operand
-        lhs = lin_matmul(fixed, summed).parts
-        rhs = lin_matmul(fixed, a).parts + lin_matmul(fixed, b).parts + lin_matmul(fixed, c).parts
+        lhs = lin_matmul(fixed, summed)
+        rhs = lin_matmul(fixed, a) + lin_matmul(fixed, b) + lin_matmul(fixed, c)
         assert np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(lhs))) <= 1e-9
