@@ -20,6 +20,15 @@ norm rules from the state's cache. Fusion and structural layers
 with the component axis as a batch axis. Stacks are raw (M+1, *map) arrays
 inside; DecomposedTensor wraps what the public functions return. At every
 layer the components sum to the layer's activation.
+
+A sweep can carry J runs under one recorded state in a (J*M+1, *map) stack:
+row j*M+m holds run j's modality m and the last row is the bias row. Over
+the row-separable prefix (see _frontier) the bias row is the same in every
+run, so _sweep_runs pushes all J runs at once and stops at the frontier; a
+'uniform' constant is split M+1 ways whatever the row count. The plan's
+liveness table lets a sweep drop each stack after its last reader unless the
+caller keeps it: record keeps none, the protocol's clean pass and the stacked
+sweep keep the frontier, and decompose and propagate keep every layer's.
 """
 
 from __future__ import annotations
@@ -212,8 +221,8 @@ def _layer_cache(layer: LayerSpec, pre: np.ndarray, eps: float) -> dict[str, np.
 
 
 def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | None = None) -> RecordedState:
-    """The linearization recorded under the full multimodal input (see decompose)."""
-    return decompose(model, inputs, cfg).state
+    """The linearization recorded under the full multimodal input (see decompose); keeps no stack."""
+    return _decompose(_Plan(model, cfg or SplitConfig()), inputs, keep=frozenset())[1]
 
 
 # --- frozen per-layer rules on component stacks ---------------------------
@@ -221,10 +230,14 @@ def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | 
 
 def split_input(x: np.ndarray, modality: int, num_modalities: int) -> DecomposedTensor:
     """Decompose an input layer: its own modality carries x, all else zero."""
-    x = as_tensor(x)
-    parts = np.zeros((num_modalities + 1,) + x.shape)
-    parts[modality] = x
-    return DecomposedTensor(parts)
+    return DecomposedTensor(_input_stack([as_tensor(x)], modality, num_modalities))
+
+
+def _input_stack(xs: list[np.ndarray], modality: int, num_modalities: int) -> np.ndarray:
+    """An input layer's stack over J runs: row j*M+modality holds xs[j], every other row is zero."""
+    h = np.zeros((len(xs) * num_modalities + 1,) + xs[0].shape)
+    h[modality:-1:num_modalities] = xs
+    return h
 
 
 def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig | None, nd: int):
@@ -294,12 +307,16 @@ def _frontier(model: ModelGraph, cfg: SplitConfig) -> tuple[list[LayerSpec], set
     return suffix, frontier
 
 
-def _push(rule, h: np.ndarray, eps: float) -> np.ndarray:
-    """Apply a bound frozen rule to the stack h: its map on every row, then its constant routed."""
+def _push(rule, h: np.ndarray, eps: float, width: int) -> np.ndarray:
+    """Apply a bound frozen rule to the stack h: its map on every row, then its constant routed.
+
+    width is the component count of one run (M+1). A 'uniform' constant is
+    split width ways onto every row, so each run stacked in h gets its share.
+    """
     fmap, const, routing = rule
     out = fmap(h)
     if routing == "uniform":
-        out += const / out.shape[0]
+        out += const / width
     else:
         out[-1] += const
     if routing in ("sum", "ratio"):
@@ -367,7 +384,7 @@ def lin_matmul(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) -> np.nd
 
 def _push_tensor(layer, d: DecomposedTensor, state, cfg) -> DecomposedTensor:
     rule = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
-    return DecomposedTensor(_push(rule, d.parts, cfg.epsilon if cfg else None))
+    return DecomposedTensor(_push(rule, d.parts, cfg.epsilon if cfg else None, d.parts.shape[0]))
 
 
 def lin_affine(layer: LayerSpec, d: DecomposedTensor) -> DecomposedTensor:
@@ -414,8 +431,10 @@ def lin_activation(
 class _Plan:
     """What one call keeps fixed for (model, cfg), and no stack or state.
 
-    The layer order (model.layers), the splice suffix and frontier (see
-    _frontier) and the rules bound without recorded values (_STATIC_KINDS).
+    The layer order (model.layers), the separable prefix, the splice suffix
+    and frontier (see _frontier), the rules bound without recorded values
+    (_STATIC_KINDS), and the liveness table: frees[lid] lists the stacks
+    whose last reader is layer lid, and a layer nothing reads frees its own.
     decompose, propagate, perturbation_protocol and hybrid_shapley build one
     per call and pass it to every sweep and splice they run.
     """
@@ -427,22 +446,30 @@ class _Plan:
             )
         self.model, self.cfg = model, cfg
         self.suffix, self.frontier = _frontier(model, cfg)
+        in_suffix = {layer.id for layer in self.suffix}
+        self.prefix = [layer for layer in model.layers if layer.id not in in_suffix]
         rank, self.rules = {}, {}
         for layer in model.layers:
             # every kind keeps the rank of its first input
             rank[layer.id] = len(layer.params["shape"]) if layer.kind == "Input" else rank[layer.inputs[0]]
             if layer.kind in _STATIC_KINDS:
                 self.rules[layer.id] = _frozen_rule(layer, None, cfg, rank[layer.id])
+        last_reader = {i: layer.id for layer in model.layers for i in layer.inputs}
+        self.frees = {lid: [] for lid in rank}
+        for lid in rank:
+            self.frees[last_reader.get(lid, lid)].append(lid)
 
-    def step(self, layer: LayerSpec, ups: list[np.ndarray], state: RecordedState, inputs, recording: bool):
+    def step(self, layer: LayerSpec, ups: list[np.ndarray], state: RecordedState, runs, recording: bool):
         """The stack of layer from its input stacks ups, binding a rule not bound yet from state's cache.
 
-        A missing cache is recorded from the input stack's sum when recording, else it is a ValueError.
+        runs is a list of J input dicts, one per run (see _input_stack). A
+        missing cache is recorded from the input stack's sum when recording
+        (one run), else it is a ValueError.
         """
         kind = layer.kind
         if kind == "Input":
-            x = eval_layer(layer, [], inputs)
-            return split_input(x, layer.params["modality"], self.model.modalities).parts
+            xs = [eval_layer(layer, [], run) for run in runs]
+            return _input_stack(xs, layer.params["modality"], self.model.modalities)
         if kind == "ConcatFusion":
             return lin_concat(ups, concat_axis(layer, ups[0].ndim - 1))
         if kind == "ResidualAdd":
@@ -454,18 +481,34 @@ class _Plan:
                 raise ValueError(f"state holds no cache for layer '{layer.id}' of this model")
             state.caches[layer.id] = _layer_cache(layer, ups[0].sum(axis=0), state.epsilon)
         rule = self.rules.get(layer.id) or _frozen_rule(layer, state, self.cfg, ups[0].ndim - 1)
-        return _push(rule, ups[0], self.cfg.epsilon)
+        return _push(rule, ups[0], self.cfg.epsilon, self.model.modalities + 1)
 
 
 def _propagate_layers(
-    plan: _Plan, layers: list[LayerSpec], state: RecordedState, inputs, comp: dict, recording: bool = False
+    plan: _Plan,
+    layers: list[LayerSpec],
+    state: RecordedState,
+    runs,
+    comp: dict,
+    recording: bool = False,
+    keep=None,
 ) -> dict[str, np.ndarray]:
     """Fill comp with the stack of each of layers, in order (see _Plan.step).
 
     comp must already hold the stacks of every upstream layer outside layers.
+    keep=None keeps every stack; otherwise a stack outside keep is dropped
+    once its last reader has run (plan.frees). When recording, each layer's
+    total is checked as it is formed, so the first non-finite layer in model
+    order raises DecompositionError.
     """
     for layer in layers:
-        comp[layer.id] = plan.step(layer, [comp[i] for i in layer.inputs], state, inputs, recording)
+        h = comp[layer.id] = plan.step(layer, [comp[i] for i in layer.inputs], state, runs, recording)
+        if recording and not np.all(np.isfinite(h.sum(axis=0))):
+            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
+        if keep is not None:
+            for lid in plan.frees[layer.id]:
+                if lid not in keep:
+                    del comp[lid]
     return comp
 
 
@@ -488,20 +531,30 @@ def _splice(
     return _propagate_layers(plan, plan.suffix, state, None, comp)
 
 
+def _sweep_runs(plan: _Plan, state: RecordedState, runs: list[dict[int, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The frontier stacks of several runs under one recorded state, from one sweep of the separable prefix.
+
+    Each stack has J*M+1 rows for the J runs: row j*M+m is run j's modality
+    m and the last row is the bias row, which in the prefix is the same in
+    every run (see _frontier). Run j's own (M+1)-row stack is its row block
+    plus the bias row; the suffix is not run.
+    """
+    return _propagate_layers(plan, plan.prefix, state, runs, {}, keep=plan.frontier)
+
+
 def _propagate(plan: _Plan, state: RecordedState, inputs: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
     """Every layer's stack under a recorded linearization (see propagate)."""
     if plan.cfg.epsilon != state.epsilon:
         raise ValueError(f"state was recorded with epsilon {state.epsilon}, config has {plan.cfg.epsilon}")
-    return _propagate_layers(plan, plan.model.layers, state, inputs, {})
+    return _propagate_layers(plan, plan.model.layers, state, [inputs], {})
 
 
-def _decompose(plan: _Plan, inputs: dict[int, np.ndarray]) -> tuple[dict[str, np.ndarray], RecordedState]:
-    """Every layer's stack and the state recorded in the same sweep (see decompose)."""
+def _decompose(
+    plan: _Plan, inputs: dict[int, np.ndarray], keep=None
+) -> tuple[dict[str, np.ndarray], RecordedState]:
+    """The stacks in keep (every layer's when None) and the state recorded in the same sweep (see decompose)."""
     state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
-    comp = _propagate_layers(plan, plan.model.layers, state, inputs, {}, recording=True)
-    for layer in plan.model.layers:
-        if not np.all(np.isfinite(comp[layer.id].sum(axis=0))):
-            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
+    comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording=True, keep=keep)
     return comp, state
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice
+from .decompose import SplitConfig, _decompose, _Plan, _splice, _sweep_runs
 from .heatmap import _max_positive
 from .model import ModelGraph
 from .parallel import ordered_map
@@ -176,10 +176,11 @@ def perturbation_protocol(
     For each sample the linearization is recorded once from the clean inputs
     and reused for every replacement, so an unperturbed modality's component
     is reproduced bit for bit when the splitting rules do not mix components.
-    Per offset, one propagate runs the replacement sample with every
-    modality replaced, each perturbation set's run is spliced from it and the
-    clean run (see decompose._splice), and one stacked call scores all the
-    offset's (set, modality) pairs. Degenerate pairs (a constant or
+    Per sample, one stacked sweep of the separable prefix runs all the
+    offsets' replacement samples at once (see decompose._sweep_runs); per
+    offset, each perturbation set's run is spliced from that offset's rows
+    and the clean run (see decompose._splice), and one stacked call scores
+    all the offset's (set, modality) pairs. Degenerate pairs (a constant or
     non-finite map) are counted per cell and excluded from the Pearson
     aggregate rather than silently averaged.
     """
@@ -190,6 +191,7 @@ def perturbation_protocol(
         raise ValueError("perturbation protocol needs at least two samples")
     stride = mcfg.resolve_stride(n)
     modalities = sorted(model.modality_inputs)
+    n_mod = len(modalities)
     perturb_sets = tuple((m,) for m in modalities) if mcfg.perturbed is None else mcfg.perturbed
     for pset in perturb_sets:
         for p in pset:
@@ -198,22 +200,23 @@ def perturbation_protocol(
     plan = _Plan(model, cfg)
 
     def one_sample(k: int) -> tuple[np.ndarray, ...]:
-        comp, state = _decompose(plan, samples[k])
-        clean_rows = comp[model.output][:-1].reshape(len(modalities), -1)  # (M, entries)
-        clean = {lid: comp[lid] for lid in plan.frontier}
-        del comp  # the splices read only the frontier stacks
+        # the splices read only the frontier stacks, the scores only the clean output
+        comp, state = _decompose(plan, samples[k], keep=plan.frontier | {model.output})
+        clean_rows = comp[model.output][:-1].reshape(n_mod, -1)  # (M, entries)
+        runs = [samples[(k + stride * j) % n] for j in range(1, mcfg.offset_count + 1)]
+        replaced = _sweep_runs(plan, state, runs)
 
         def one_offset(j: int) -> tuple[np.ndarray, ...]:
-            # (sets, M) scores; the runs and temporaries go before the next propagate
-            replaced = _propagate(plan, state, samples[(k + stride * j) % n])
-            replaced = {lid: replaced[lid] for lid in plan.frontier}
-            outs = [_splice(plan, state, replaced, clean, p)[model.output][:-1] for p in perturb_sets]
+            # (sets, M) scores of runs[j]: its rows of the stacked sweep, then its splices
+            rows = [*range(j * n_mod, (j + 1) * n_mod), -1]
+            run = {lid: h[rows] for lid, h in replaced.items()}
+            outs = [_splice(plan, state, run, comp, p)[model.output][:-1] for p in perturb_sets]
             a, b = clean_rows, np.stack(outs).reshape(-1, *clean_rows.shape)
             if mcfg.positive_parts:
                 a, b = _max_positive(a, -1), _max_positive(b, -1)
             return (*_pearson(a, b), ((a - b) ** 2).mean(-1))
 
-        return tuple(map(np.stack, zip(*map(one_offset, range(1, mcfg.offset_count + 1)))))
+        return tuple(map(np.stack, zip(*map(one_offset, range(len(runs))))))
 
     def mean_std(x: np.ndarray) -> tuple[float, float]:
         return (float(x.mean()), float(x.std())) if x.size else (0.0, 0.0)

@@ -25,7 +25,7 @@ def small_model(seed=7, **overrides):
 def push(layer, d, state=None, cfg=SplitConfig()):
     """A single-input layer's frozen rule on d: bound as a sweep binds it, applied by _push."""
     rule = _frozen_rule(layer, state, cfg, d.parts.ndim - 1)
-    return DecomposedTensor(_push(rule, d.parts, cfg.epsilon))
+    return DecomposedTensor(_push(rule, d.parts, cfg.epsilon, d.parts.shape[0]))
 
 
 def scalar_pair_model(w0=2.0, w1=3.0, bias=1.0):

@@ -26,7 +26,7 @@ from modaldecomp import (
     record,
     split_input,
 )
-from modaldecomp.decompose import _chord_ratio, _frozen_rule
+from modaldecomp.decompose import _chord_ratio, _decompose, _frozen_rule, _Plan
 from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
 from conftest import push, scalar_pair_model, small_model
@@ -531,6 +531,57 @@ class TestPlan:
         assert len(walks) == 1
         static = [layer.id for layer in model.layers if layer.kind in ("Dense", "Conv2d", "BatchNorm")]
         assert static and sorted(lid for lid in bound if lid in static) == sorted(static)
+
+
+class TestLiveness:
+    CASES = [
+        (dict(include_attention=True), SplitConfig()),
+        (dict(include_attention=True, modalities=3), SplitConfig("uniform", "uniform")),
+        (dict(norms=("layernorm", "instancenorm"), activations=("gelu", "relu")), SplitConfig(act_rule="ratio")),
+    ]
+
+    @pytest.mark.parametrize("overrides, cfg", CASES)
+    def test_record_caches_match_decompose(self, overrides, cfg):
+        # record keeps no stack, and records the same bits as decompose
+        model = small_model(3, **overrides)
+        x = gen_sample_set(4, model, 1)[0]
+        got, want = record(model, x, cfg).caches, decompose(model, x, cfg).state.caches
+        assert got.keys() == want.keys()
+        for lid, cache in want.items():
+            assert got[lid].keys() == cache.keys()
+            for name, arr in cache.items():
+                assert got[lid][name].dtype == arr.dtype and np.array_equal(got[lid][name], arr), (lid, name)
+
+    @pytest.mark.parametrize("overrides, cfg", CASES)
+    def test_public_calls_keep_every_stack(self, overrides, cfg):
+        model = small_model(3, **overrides)
+        x, y = gen_sample_set(4, model, 2).samples
+        res = decompose(model, x, cfg)
+        assert list(res.components) == [layer.id for layer in model.layers]
+        assert list(propagate(model, res.state, y, cfg)) == [layer.id for layer in model.layers]
+
+    @pytest.mark.parametrize("overrides, cfg", CASES)
+    def test_sweep_returns_only_the_kept_stacks(self, overrides, cfg):
+        model = small_model(3, **overrides)
+        x = gen_sample_set(4, model, 1)[0]
+        plan = _Plan(model, cfg)
+        full, _ = _decompose(plan, x)
+        for keep in (frozenset(), plan.frontier | {model.output}):
+            comp, _ = _decompose(plan, x, keep)
+            assert comp.keys() == keep
+            for lid, h in comp.items():
+                assert np.array_equal(h, full[lid]), lid
+
+    def test_frees_each_stack_once_after_its_last_reader(self):
+        model = small_model(3, include_attention=True)
+        plan = _Plan(model, SplitConfig())
+        order = {layer.id: k for k, layer in enumerate(model.layers)}
+        freed = [lid for layers in plan.frees.values() for lid in layers]
+        assert sorted(freed) == sorted(order)
+        for reader, lids in plan.frees.items():
+            for lid in lids:
+                readers = [layer.id for layer in model.layers if lid in layer.inputs]
+                assert reader == max(readers, key=order.get, default=lid)
 
 
 class TestPropagateReadsState:

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from modaldecomp import (
     CellStats,
+    DecompositionError,
     MetricConfig,
     SeparationReport,
     SplitConfig,
@@ -25,6 +27,7 @@ from modaldecomp import (
     report_to_json,
     variant_matrix,
 )
+from modaldecomp.decompose import _Plan
 from modaldecomp.heatmap import normalize_map
 from modaldecomp.metrics import _pearson
 
@@ -343,6 +346,40 @@ class TestProtocol:
         for p in range(2):
             cell = rep.cell(f"m{p}_p", f"m{1 - p}")
             assert cell.pcc_mean == 1.0 and cell.mse_mean == 0.0
+
+    def test_nan_in_clean_sample_names_its_input_layer(self):
+        # the clean decompose raises at the first non-finite layer, as decompose does
+        model = small_model()
+        samples = gen_sample_set(5, model, 6)
+        samples.samples[0] = dict(samples[0])
+        samples.samples[0][0] = samples[0][0].copy()
+        samples.samples[0][0][0, 0, 0] = np.nan
+        msg = "non-finite activation in layer 'in0'"
+        with pytest.raises(DecompositionError, match=msg):
+            decompose(model, samples[0])
+        with pytest.raises(DecompositionError, match=msg):
+            perturbation_protocol(model, samples)
+
+    def test_one_decompose_and_one_stacked_sweep_per_sample(self, monkeypatch):
+        """A separable model's replacement runs are one prefix sweep per sample, with no full propagate."""
+        counts = {"_decompose": 0, "_sweep_runs": 0, "_propagate": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        # the engine's names and the ones metrics imported from it
+        for mod in (sys.modules["modaldecomp.decompose"], sys.modules["modaldecomp.metrics"]):
+            for name in counts:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        model = small_model(modalities=3)
+        assert not _Plan(model, SplitConfig()).suffix
+        perturbation_protocol(model, gen_sample_set(5, model, 6), mcfg=MetricConfig(offset_count=4))
+        assert counts == {"_decompose": 6, "_sweep_runs": 6, "_propagate": 0}
 
 
 class TestVariantMatrix:

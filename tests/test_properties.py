@@ -6,7 +6,10 @@ must keep the equality contract at every layer, and splicing two runs at the
 separable frontier must reproduce, bit for bit, a full propagate of the
 spliced inputs: the full and the empty run give x with the non-members
 zeroed (a Shapley coalition), the run of y and the clean run give x with the
-members replaced by y's (a replacement of the protocol).
+members replaced by y's (a replacement of the protocol). And x and y swept
+together through the prefix as one stacked run must give, in each one's rows
+plus the shared bias row, its own propagate bit for bit at every frontier
+layer.
 
 The equality contract is asserted on draws whose components cancel by at
 most 1e6 (the largest component over the largest total, at any layer).
@@ -29,7 +32,7 @@ from modaldecomp import (
     gen_synthetic_model,
     propagate,
 )
-from modaldecomp.decompose import _Plan, _splice
+from modaldecomp.decompose import _Plan, _splice, _sweep_runs
 
 
 def _ordered_subset(names):
@@ -77,6 +80,15 @@ def test_equality_and_splice_on_generated_graphs(case):
         assert model.output in spliced
         for lid, h in spliced.items():
             assert np.array_equal(h, ref[lid].parts), lid
+
+    # x and y in one stacked sweep of the prefix: run j's rows and the bias row are its own propagate
+    stacked = _sweep_runs(plan, res.state, [x, y])
+    assert stacked.keys() == plan.frontier
+    for j, run in enumerate((x, y)):
+        own = propagate(model, res.state, run, cfg)
+        for lid, h in stacked.items():
+            assert h.shape[0] == 2 * M + 1
+            assert np.array_equal(h[[*range(j * M, (j + 1) * M), -1]], own[lid].parts), lid
 
     cancellation = max(
         np.abs(d.parts).max() / (1.0 + np.abs(d.total()).max()) for d in res.components.values()
