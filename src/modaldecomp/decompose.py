@@ -34,6 +34,7 @@ sweep keep the frontier, and decompose and propagate keep every layer's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -431,12 +432,12 @@ def lin_activation(
 class _Plan:
     """What one call keeps fixed for (model, cfg), and no stack or state.
 
-    The layer order (model.layers), the separable prefix, the splice suffix
-    and frontier (see _frontier), the rules bound without recorded values
-    (_STATIC_KINDS), and the liveness table: frees[lid] lists the stacks
-    whose last reader is layer lid, and a layer nothing reads frees its own.
-    decompose, propagate, perturbation_protocol and hybrid_shapley build one
-    per call and pass it to every sweep and splice they run.
+    The layer order (model.layers), the splice suffix and frontier (see
+    _frontier), the rules bound without recorded values (_STATIC_KINDS),
+    and, built on first use by the sweeps that drop stacks, the separable
+    prefix and the liveness table. decompose, propagate,
+    perturbation_protocol and hybrid_shapley build one per call and pass it
+    to every sweep and splice they run.
     """
 
     def __init__(self, model: ModelGraph, cfg: SplitConfig):
@@ -446,18 +447,28 @@ class _Plan:
             )
         self.model, self.cfg = model, cfg
         self.suffix, self.frontier = _frontier(model, cfg)
-        in_suffix = {layer.id for layer in self.suffix}
-        self.prefix = [layer for layer in model.layers if layer.id not in in_suffix]
         rank, self.rules = {}, {}
         for layer in model.layers:
             # every kind keeps the rank of its first input
             rank[layer.id] = len(layer.params["shape"]) if layer.kind == "Input" else rank[layer.inputs[0]]
             if layer.kind in _STATIC_KINDS:
                 self.rules[layer.id] = _frozen_rule(layer, None, cfg, rank[layer.id])
-        last_reader = {i: layer.id for layer in model.layers for i in layer.inputs}
-        self.frees = {lid: [] for lid in rank}
-        for lid in rank:
-            self.frees[last_reader.get(lid, lid)].append(lid)
+
+    @cached_property
+    def prefix(self) -> list[LayerSpec]:
+        """The layers before the suffix, in model order."""
+        in_suffix = {layer.id for layer in self.suffix}
+        return [layer for layer in self.model.layers if layer.id not in in_suffix]
+
+    @cached_property
+    def frees(self) -> dict[str, list[str]]:
+        """frees[lid] lists the stacks whose last reader is layer lid; a layer nothing reads frees its own."""
+        layers = self.model.layers
+        last_reader = {i: layer.id for layer in layers for i in layer.inputs}
+        frees = {layer.id: [] for layer in layers}
+        for layer in layers:
+            frees[last_reader.get(layer.id, layer.id)].append(layer.id)
+        return frees
 
     def step(self, layer: LayerSpec, ups: list[np.ndarray], state: RecordedState, runs, recording: bool):
         """The stack of layer from its input stacks ups, binding a rule not bound yet from state's cache.
@@ -497,19 +508,24 @@ def _propagate_layers(
 
     comp must already hold the stacks of every upstream layer outside layers.
     keep=None keeps every stack; otherwise a stack outside keep is dropped
-    once its last reader has run (plan.frees). When recording, each layer's
-    total is checked as it is formed, so the first non-finite layer in model
-    order raises DecompositionError.
+    once its last reader has run (plan.frees), and when recording each
+    layer's total is checked before it can be dropped (see _check_finite).
     """
     for layer in layers:
         h = comp[layer.id] = plan.step(layer, [comp[i] for i in layer.inputs], state, runs, recording)
-        if recording and not np.all(np.isfinite(h.sum(axis=0))):
-            raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
         if keep is not None:
+            if recording:
+                _check_finite(layer.id, h)
             for lid in plan.frees[layer.id]:
                 if lid not in keep:
                     del comp[lid]
     return comp
+
+
+def _check_finite(lid: str, h: np.ndarray) -> None:
+    """Raise DecompositionError if layer lid's total (the sum of its stack h) is not finite."""
+    if not np.all(np.isfinite(h.sum(axis=0))):
+        raise DecompositionError(f"non-finite activation in layer '{lid}'")
 
 
 def _splice(
@@ -552,9 +568,18 @@ def _propagate(plan: _Plan, state: RecordedState, inputs: dict[int, np.ndarray])
 def _decompose(
     plan: _Plan, inputs: dict[int, np.ndarray], keep=None
 ) -> tuple[dict[str, np.ndarray], RecordedState]:
-    """The stacks in keep (every layer's when None) and the state recorded in the same sweep (see decompose)."""
+    """The stacks in keep (every layer's when None) and the state recorded in the same sweep (see decompose).
+
+    The first non-finite layer in model order raises DecompositionError.
+    """
     state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
     comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording=True, keep=keep)
+    if keep is None:
+        # Every stack is still here, so the totals are checked after the
+        # sweep: a total formed between two stacks shifts where the allocator
+        # places later arrays, and with it how many pages the next calls fault.
+        for layer in plan.model.layers:
+            _check_finite(layer.id, comp[layer.id])
     return comp, state
 
 
