@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +110,7 @@ def cmd_decompose(args) -> int:
     doc = {
         "version": 1,
         "index": args.index,
-        "config": {
-            "bn_rule": cfg.bn_rule,
-            "ln_rule": cfg.ln_rule,
-            "act_rule": cfg.act_rule,
-            "epsilon": cfg.epsilon,
-        },
+        "config": asdict(cfg),
         "max_equality_residual": residuals[worst],
         "worst_layer": worst,
         "residuals": residuals,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from .tensor import as_tensor
 
@@ -54,7 +55,7 @@ def normalize_map(x: np.ndarray, mode: str) -> np.ndarray:
             return np.full_like(x, 0.5)
         return (x / amp + 1.0) / 2.0
     if mode == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+        return expit(x)
     raise ValueError(f"unknown normalization '{mode}', expected one of {NORMALIZATIONS}")
 
 

@@ -340,6 +340,8 @@ def _layer_from_doc(doc: dict) -> LayerSpec:
                 raise ModelError(f"{where} '{key}' is not a numeric array: {e}") from e
             if not np.isfinite(params[key]).all():
                 raise ModelError(f"{where} '{key}' holds a non-finite value")
+    if kind == "MatMul" and not isinstance(params.get("transpose_b", False), bool):
+        raise ModelError(f"{where} 'transpose_b' must be bool, got {params['transpose_b']!r}")
     inputs = doc.get("inputs", [])
     if not (isinstance(inputs, list) and all(isinstance(i, str) for i in inputs)):
         raise ModelError(f"{where} 'inputs' must be a list of layer ids, got {inputs!r}")

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice
+from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice, _sweep_runs
 from .model import ModelGraph, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -67,30 +67,36 @@ def _shapley_from_values(values: dict[int, np.ndarray], m: int):
     return phis
 
 
+def _check_size(m: int) -> None:
+    if m > MAX_MODALITIES:
+        raise ValueError(f"{m} modalities would need 2^{m} forwards; guard is {MAX_MODALITIES}")
+
+
+def _game(m: int, value):
+    """Every coalition's value and each modality's exact Shapley value.
+
+    value maps a set of member modalities to the coalition's output tensor;
+    it is called once for each of the 2^m coalitions, empty and full included.
+    """
+    values = {mask: value({i for i in range(m) if mask >> i & 1}) for mask in range(1 << m)}
+    return values, _shapley_from_values(values, m)
+
+
 def shapley(model: ModelGraph, inputs: dict[int, np.ndarray]) -> Attribution:
     """Exact modality Shapley values of the original (non-linearized) model.
 
     Enumerates all 2^M coalitions, each a single plain forward pass with the
     absent modalities zeroed. Guarded to M <= 12.
     """
+    _check_size(model.modalities)
     m = model.modalities
-    if m > MAX_MODALITIES:
-        raise ValueError(f"{m} modalities would need 2^{m} forwards; guard is {MAX_MODALITIES}")
     zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    values = {}
-    for mask in range(1 << m):
-        coalition_inputs = {
-            i: inputs[i] if mask & (1 << i) else zeros[i] for i in range(m)
-        }
-        values[mask] = forward(model, coalition_inputs)[model.output]
-    phis = _shapley_from_values(values, m)
-    full = (1 << m) - 1
-    return Attribution(
-        base=values[0],
-        per_modality=phis,
-        n_forwards=1 << m,
-        total=values[full],
-    )
+
+    def value(members):
+        return forward(model, {i: inputs[i] if i in members else zeros[i] for i in range(m)})[model.output]
+
+    values, phis = _game(m, value)
+    return Attribution(base=values[0], per_modality=phis, n_forwards=1 << m, total=values[(1 << m) - 1])
 
 
 def hybrid_shapley(
@@ -106,20 +112,21 @@ def hybrid_shapley(
     whose value is the bias component produced with modalities outside the
     coalition zeroed; each modality's Shapley share of that bias mass is
     added to its component. The empty-coalition bias is the base, so
-    efficiency holds by construction. The game costs two full propagates
-    (every modality, none); the other coalitions rerun only the layers past
-    the first row-mixing one.
+    efficiency holds by construction. The game costs the decomposition's own
+    sweep and one sweep of the zero input through the row-separable prefix;
+    every coalition, empty and full included, then reruns only the layers
+    past the first row-mixing one.
 
     method='proportional': a simpler reading that splits the bias elementwise
     in proportion to the component magnitudes.
 
     Passing a RecordedState evaluates the given inputs against that frozen
-    linearization instead of recording a fresh one (replacement protocols).
+    linearization instead of recording a fresh one, as when a replaced
+    sample is scored under the clean sample's state (see demo 04).
     """
+    _check_size(model.modalities)
     cfg = cfg or SplitConfig()
     m = model.modalities
-    if m > MAX_MODALITIES:
-        raise ValueError(f"{m} modalities would need 2^{m} forwards; guard is {MAX_MODALITIES}")
     if method not in ("shapley", "proportional"):
         raise ValueError(f"unknown redistribution method '{method}'")
     plan = _Plan(model, cfg)
@@ -138,21 +145,10 @@ def hybrid_shapley(
         per = {i: out[i] + shares[i] for i in range(m)}
         return Attribution(base=base, per_modality=per, n_forwards=1, total=total)
 
-    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    empty = _propagate(plan, state, zeros)
-    everyone = (1 << m) - 1
-    bias_values = {0: empty[model.output][-1], everyone: h_bias}
     # A coalition's run takes its members' rows from the full run and the
-    # rest from the empty run; _splice reruns only the layers past the
-    # row-separable prefix.
-    for mask in range(1, everyone):
-        members = {i for i in range(m) if mask >> i & 1}
-        bias_values[mask] = _splice(plan, state, full, empty, members)[model.output][-1]
-    phis = _shapley_from_values(bias_values, m)
+    # rest from the empty run's frontier; _splice reruns only the suffix.
+    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
+    empty = _sweep_runs(plan, state, [zeros])
+    bias_values, phis = _game(m, lambda members: _splice(plan, state, full, empty, members)[model.output][-1])
     per = {i: out[i] + phis[i] for i in range(m)}
-    return Attribution(
-        base=bias_values[0],
-        per_modality=per,
-        n_forwards=1 << m,
-        total=total,
-    )
+    return Attribution(base=bias_values[0], per_modality=per, n_forwards=1 << m, total=total)

@@ -1,11 +1,22 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modaldecomp import DecomposedTensor, GenSpec, LayerSpec, ModelGraph, SplitConfig, gen_synthetic_model
+from modaldecomp import (
+    DecomposedTensor,
+    GenSpec,
+    LayerSpec,
+    ModelGraph,
+    SplitConfig,
+    gen_synthetic_model,
+    propagate,
+    record,
+)
 from modaldecomp.decompose import _frozen_rule, _push
+from modaldecomp.shapley import _shapley_from_values
 
 # CLI tests run `python -m modaldecomp` in temporary directories, where a
 # relative PYTHONPATH entry such as `src` no longer resolves.
@@ -42,6 +53,40 @@ def scalar_pair_model(w0=2.0, w1=3.0, bias=1.0):
         ),
     ]
     return ModelGraph(layers, "head", 2)
+
+
+def full_propagate_hybrid(model, inputs, cfg, state=None):
+    """The hybrid coalition game as one full propagate per coalition."""
+    m = model.modalities
+    if state is None:
+        state = record(model, inputs, cfg)
+    out = propagate(model, state, inputs, cfg)[model.output]
+    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
+    bias_values = {}
+    for mask in range(1 << m):
+        coalition = {i: inputs[i] if mask & (1 << i) else zeros[i] for i in range(m)}
+        bias_values[mask] = propagate(model, state, coalition, cfg)[model.output].bias
+    phis = _shapley_from_values(bias_values, m)
+    per = {i: out.modality(i) + phis[i] for i in range(m)}
+    return bias_values[0], per, out.total()
+
+
+def count_calls(monkeypatch, modules, names):
+    """Count the calls of each of names in every module (a dotted name) that binds it; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for mod in map(sys.modules.get, modules):
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return counts
 
 
 @pytest.fixture

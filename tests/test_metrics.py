@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from modaldecomp.decompose import _Plan
 from modaldecomp.heatmap import normalize_map
 from modaldecomp.metrics import _pearson
 
-from conftest import small_model
+from conftest import count_calls, small_model
 
 
 def dead_branch1_model():
@@ -362,20 +361,10 @@ class TestProtocol:
 
     def test_one_decompose_and_one_stacked_sweep_per_sample(self, monkeypatch):
         """A separable model's replacement runs are one prefix sweep per sample, with no full propagate."""
-        counts = {"_decompose": 0, "_sweep_runs": 0, "_propagate": 0}
-
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return call
-
         # the engine's names and the ones metrics imported from it
-        for mod in (sys.modules["modaldecomp.decompose"], sys.modules["modaldecomp.metrics"]):
-            for name in counts:
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        counts = count_calls(
+            monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_decompose", "_sweep_runs", "_propagate")
+        )
         model = small_model(modalities=3)
         assert not _Plan(model, SplitConfig()).suffix
         perturbation_protocol(model, gen_sample_set(5, model, 6), mcfg=MetricConfig(offset_count=4))

@@ -201,6 +201,8 @@ class TestSerialization:
             ("Input", "shape", [], "must be a non-empty list of positive integers"),
             ("Input", "shape", [0], "must be a non-empty list of positive integers"),
             ("Input", "shape", [-1], "must be a non-empty list of positive integers"),
+            ("MatMul", "transpose_b", "no", "must be bool"),
+            ("MatMul", "transpose_b", 1, "must be bool"),
         ],
     )
     def test_mistyped_field_named(self, kind, key, value, message):

@@ -9,11 +9,13 @@ zeroed (a Shapley coalition), the run of y and the clean run give x with the
 members replaced by y's (a replacement of the protocol). And x and y swept
 together through the prefix as one stacked run must give, in each one's rows
 plus the shared bias row, its own propagate bit for bit at every frontier
-layer.
+layer. The hybrid Shapley game, played on splices, must equal the same game
+played with one full propagate per coalition, bit for bit, for x and for y
+under x's state.
 
-The equality contract is asserted on draws whose components cancel by at
-most 1e6 (the largest component over the largest total, at any layer).
-Beyond about 1e7, float64 rounding of the components alone exceeds 1e-9 of
+The equality contract, and the hybrid game's efficiency, are asserted on
+draws whose components cancel by at most 1e6 (the largest component over
+the largest total, at any layer). Beyond about 1e7, float64 rounding of the components alone exceeds 1e-9 of
 the total: a few draws in a thousand get there under the identity and
 uniform ln_rule, where a norm with a small recorded variance scales every
 component by up to gamma/sqrt(eps) while their sum stays small.
@@ -24,15 +26,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modaldecomp import (
+    EQUALITY_TOL,
     GenSpec,
     SplitConfig,
     decompose,
     equality_residuals,
     gen_sample_set,
     gen_synthetic_model,
+    hybrid_shapley,
     propagate,
 )
 from modaldecomp.decompose import _Plan, _splice, _sweep_runs
+
+from conftest import full_propagate_hybrid
 
 
 def _ordered_subset(names):
@@ -90,9 +96,29 @@ def test_equality_and_splice_on_generated_graphs(case):
             assert h.shape[0] == 2 * M + 1
             assert np.array_equal(h[[*range(j * M, (j + 1) * M), -1]], own[lid].parts), lid
 
-    cancellation = max(
-        np.abs(d.parts).max() / (1.0 + np.abs(d.total()).max()) for d in res.components.values()
-    )
-    assume(cancellation <= 1e6)
+    assume(_cancellation(res.components) <= 1e6)
     residuals = equality_residuals(model, res.components, res.state)
     assert max(residuals.values()) <= 1e-9, residuals
+
+
+def _cancellation(components):
+    """The largest component over the largest total, at any layer."""
+    return max(np.abs(d.parts).max() / (1.0 + np.abs(d.total()).max()) for d in components.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_hybrid_shapley_equals_full_propagate_game(case):
+    model, cfg, x, y, _ = case
+    res = decompose(model, x, cfg)
+    fresh = hybrid_shapley(model, x, cfg)
+    replaced = hybrid_shapley(model, y, cfg, state=res.state)
+    for attr, inputs, state in ((fresh, x, None), (replaced, y, res.state)):
+        base, per, total = full_propagate_hybrid(model, inputs, cfg, state)
+        assert np.array_equal(attr.base, base)
+        assert np.array_equal(attr.total, total)
+        for m in range(model.modalities):
+            assert np.array_equal(attr.per_modality[m], per[m]), m
+
+    assume(_cancellation(res.components) <= 1e6)
+    assert fresh.efficiency_residual() <= EQUALITY_TOL

@@ -12,14 +12,12 @@ from modaldecomp import (
     gen_sample_set,
     hybrid_shapley,
     pearson,
-    propagate,
     record,
     shapley,
 )
 from modaldecomp.decompose import _frontier
-from modaldecomp.shapley import _shapley_from_values
 
-from conftest import scalar_pair_model, small_model
+from conftest import count_calls, full_propagate_hybrid, scalar_pair_model, small_model
 
 
 def test_hand_enumerable_affine_example():
@@ -172,22 +170,6 @@ class TestHybrid:
         assert np.isclose(hybrid, 0.9775653520186011, rtol=1e-6)
 
 
-def full_propagate_hybrid(model, inputs, cfg, state=None):
-    """The hybrid coalition game as one full propagate per coalition."""
-    m = model.modalities
-    if state is None:
-        state = record(model, inputs, cfg)
-    out = propagate(model, state, inputs, cfg)[model.output]
-    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    bias_values = {}
-    for mask in range(1 << m):
-        coalition = {i: inputs[i] if mask & (1 << i) else zeros[i] for i in range(m)}
-        bias_values[mask] = propagate(model, state, coalition, cfg)[model.output].bias
-    phis = _shapley_from_values(bias_values, m)
-    per = {i: out.modality(i) + phis[i] for i in range(m)}
-    return bias_values[0], per, out.total()
-
-
 class TestCoalitionSharing:
     """hybrid_shapley reruns only the layers past the row-separable prefix."""
 
@@ -222,6 +204,19 @@ class TestCoalitionSharing:
                 for m in range(model.modalities):
                     assert np.array_equal(attr.per_modality[m], per[m])
                 assert attr.n_forwards == 1 << model.modalities
+
+    def test_one_decompose_one_prefix_sweep_and_a_splice_per_coalition(self, monkeypatch):
+        """The empty run is a prefix sweep and every coalition a splice; no full propagate without a state."""
+        model = small_model(modalities=4, include_attention=True)
+        x, y = gen_sample_set(5, model, 2).samples
+        state = record(model, x)
+        names = ("_decompose", "_sweep_runs", "_splice", "_propagate")
+        counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.shapley"), names)
+        hybrid_shapley(model, x)
+        assert counts == {"_decompose": 1, "_sweep_runs": 1, "_splice": 16, "_propagate": 0}
+        counts.update(dict.fromkeys(names, 0))
+        hybrid_shapley(model, y, state=state)
+        assert counts == {"_decompose": 0, "_sweep_runs": 1, "_splice": 16, "_propagate": 1}
 
     def test_frontier_of_attention_net(self):
         model = small_model(5, modalities=3, include_attention=True)
