@@ -42,9 +42,9 @@ from .model import (
     LayerSpec,
     ModelGraph,
     channel_shape,
-    concat_axis,
     eval_layer,
     forward,
+    layer_axis,
     matmul_pair,
     norm_affine,
     norm_axes,
@@ -482,7 +482,7 @@ class _Plan:
             xs = [eval_layer(layer, [], run) for run in runs]
             return _input_stack(xs, layer.params["modality"], self.model.modalities)
         if kind == "ConcatFusion":
-            return lin_concat(ups, concat_axis(layer, ups[0].ndim - 1))
+            return lin_concat(ups, layer_axis(layer, ups[0].ndim - 1))
         if kind == "ResidualAdd":
             return lin_residual_add(*ups)
         if kind == "MatMul":

@@ -26,54 +26,28 @@ __all__ = [
     "LAYER_KINDS",
 ]
 
-LAYER_KINDS = frozenset(
-    {
-        "Input",
-        "Dense",
-        "Conv2d",
-        "BatchNorm",
-        "LayerNorm",
-        "InstanceNorm",
-        "ReLU",
-        "GELU",
-        "Softmax",
-        "ConcatFusion",
-        "ResidualAdd",
-        "MatMul",
-    }
-)
+# per kind: (min, max) consumed inputs, None meaning unbounded, and the fields a
+# layer document must carry, in check order, each with its type: tuple (a list
+# of integers, restored to a tuple), np.ndarray (a finite numeric array) or
+# int/float (a scalar)
+_KINDS = {
+    "Input": ((0, 0), {"shape": tuple}),
+    "Dense": ((1, 1), {"weight": np.ndarray, "bias": np.ndarray}),
+    "Conv2d": ((1, 1), {"weight": np.ndarray, "bias": np.ndarray, "stride": int, "padding": int}),
+    "BatchNorm": ((1, 1), {"mean": np.ndarray, "var": np.ndarray, "gamma": np.ndarray, "beta": np.ndarray, "eps": float}),
+    "LayerNorm": ((1, 1), {"axes": tuple, "gamma": np.ndarray, "beta": np.ndarray, "eps": float}),
+    "InstanceNorm": ((1, 1), {"gamma": np.ndarray, "beta": np.ndarray, "eps": float}),
+    "ReLU": ((1, 1), {}),
+    "GELU": ((1, 1), {}),
+    "Softmax": ((1, 1), {"axis": int}),
+    "ConcatFusion": ((2, None), {"axis": int}),
+    "ResidualAdd": ((2, 2), {}),
+    "MatMul": ((2, 2), {}),
+}
+
+LAYER_KINDS = frozenset(_KINDS)
 
 FUSION_KINDS = frozenset({"ConcatFusion", "MatMul"})
-
-# (min, max) consumed inputs; None means unbounded
-_ARITY = {
-    "Input": (0, 0),
-    "ConcatFusion": (2, None),
-    "ResidualAdd": (2, 2),
-    "MatMul": (2, 2),
-}
-
-# params a layer document must carry as lists, restored to tuples, per kind
-_TUPLE_PARAMS = {"Input": ("shape",), "LayerNorm": ("axes",)}
-
-# params holding arrays, per kind, in serialization order
-_ARRAY_PARAMS = {
-    "Dense": ("weight", "bias"),
-    "Conv2d": ("weight", "bias"),
-    "BatchNorm": ("mean", "var", "gamma", "beta"),
-    "LayerNorm": ("gamma", "beta"),
-    "InstanceNorm": ("gamma", "beta"),
-}
-
-# scalar params a layer document must carry, per kind, with the type each takes
-_SCALAR_PARAMS = {
-    "Conv2d": {"stride": int, "padding": int},
-    "BatchNorm": {"eps": float},
-    "LayerNorm": {"eps": float},
-    "InstanceNorm": {"eps": float},
-    "Softmax": {"axis": int},
-    "ConcatFusion": {"axis": int},
-}
 
 
 class ModelError(ValueError):
@@ -114,7 +88,7 @@ class ModelGraph:
                 raise ModelError(f"layer '{layer.id}': unknown kind '{layer.kind}'")
             if layer.id in seen:
                 raise ModelError(f"duplicate layer id '{layer.id}'")
-            lo, hi = _ARITY.get(layer.kind, (1, 1))
+            lo, hi = _KINDS[layer.kind][0]
             n = len(layer.inputs)
             if n < lo or (hi is not None and n > hi):
                 raise ModelError(
@@ -184,7 +158,7 @@ def channel_shape(vec: np.ndarray, ndim: int) -> np.ndarray:
 
 def dense_apply(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Linear map over the leading feature axis, broadcast over trailing axes."""
-    if x.ndim < 1 or weight.shape[1] != x.shape[0]:
+    if x.ndim < 1 or weight.ndim != 2 or weight.shape[1] != x.shape[0]:
         raise ModelError(f"dense shape mismatch: weight {weight.shape}, input {x.shape}")
     return np.tensordot(weight, x, axes=(1, 0))
 
@@ -215,11 +189,12 @@ def norm_axes(layer: LayerSpec, ndim: int) -> tuple[int, ...]:
     return tuple(ax % ndim for ax in axes)
 
 
-def concat_axis(layer: LayerSpec, ndim: int) -> int:
-    """A ConcatFusion's non-negative axis on rank-ndim maps."""
+def layer_axis(layer: LayerSpec, ndim: int) -> int:
+    """A ConcatFusion's or Softmax's non-negative axis on rank-ndim maps."""
     axis = layer.params["axis"]
     if not -ndim <= axis < ndim:
-        raise ModelError(f"layer '{layer.id}' concat axis {axis} out of range for rank {ndim}")
+        name = "concat" if layer.kind == "ConcatFusion" else "softmax"
+        raise ModelError(f"layer '{layer.id}' {name} axis {axis} out of range for rank {ndim}")
     return axis % ndim
 
 
@@ -271,9 +246,9 @@ def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.
     if kind == "GELU":
         return _gelu(upstream[0])
     if kind == "Softmax":
-        return _softmax(upstream[0], p["axis"])
+        return _softmax(upstream[0], layer_axis(layer, upstream[0].ndim))
     if kind == "ConcatFusion":
-        return concat(upstream, concat_axis(layer, upstream[0].ndim))
+        return concat(upstream, layer_axis(layer, upstream[0].ndim))
     if kind == "ResidualAdd":
         a, b = upstream
         if a.shape != b.shape:
@@ -284,11 +259,16 @@ def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.
     raise ModelError(f"unhandled kind '{kind}'")  # pragma: no cover
 
 
-def forward(model: ModelGraph, inputs: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
-    """Run the plain forward pass; returns every layer's activation by id."""
+def _check_inputs(model: ModelGraph, inputs: dict[int, np.ndarray]) -> None:
+    """Raise ModelError unless inputs holds a tensor for every modality of model."""
     for m in model.modality_inputs:
         if m not in inputs:
             raise ModelError(f"missing input for modality {m}")
+
+
+def forward(model: ModelGraph, inputs: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """Run the plain forward pass; returns every layer's activation by id."""
+    _check_inputs(model, inputs)
     acts: dict[str, np.ndarray] = {}
     for layer in model.layers:
         acts[layer.id] = eval_layer(layer, [acts[i] for i in layer.inputs], inputs)
@@ -317,29 +297,25 @@ def _layer_from_doc(doc: dict) -> LayerSpec:
     kind = doc["kind"]
     params = {k: v for k, v in doc.items() if k not in ("id", "kind", "inputs")}
     where = f"layer '{doc['id']}' ({kind})"
-    tuples = _TUPLE_PARAMS.get(kind, ())
-    scalars = _SCALAR_PARAMS.get(kind, {})
-    for key in tuples + _ARRAY_PARAMS.get(kind, ()) + tuple(scalars):
+    for key, typ in _KINDS.get(kind, ((), {}))[1].items():
         if key not in params:
             raise ModelError(f"{where} missing '{key}'")
         val = params[key]
-        if key in tuples:
+        if typ is tuple:
             if not isinstance(val, list) or not all(_is_int(v) for v in val):
                 raise ModelError(f"{where} '{key}' must be a list of integers, got {val!r}")
             if kind == "Input" and not (val and min(val) > 0):
                 raise ModelError(f"{where} '{key}' must be a non-empty list of positive integers, got {val!r}")
             params[key] = tuple(val)
-        elif key in scalars:
-            number = _is_int(val) or (scalars[key] is float and isinstance(val, float))
-            if not number:
-                raise ModelError(f"{where} '{key}' must be {scalars[key].__name__}, got {val!r}")
-        else:
+        elif typ is np.ndarray:
             try:
                 params[key] = as_tensor(val)
             except (TypeError, ValueError) as e:
                 raise ModelError(f"{where} '{key}' is not a numeric array: {e}") from e
             if not np.isfinite(params[key]).all():
                 raise ModelError(f"{where} '{key}' holds a non-finite value")
+        elif not (_is_int(val) or (typ is float and isinstance(val, float))):
+            raise ModelError(f"{where} '{key}' must be {typ.__name__}, got {val!r}")
     if kind == "MatMul" and not isinstance(params.get("transpose_b", False), bool):
         raise ModelError(f"{where} 'transpose_b' must be bool, got {params['transpose_b']!r}")
     inputs = doc.get("inputs", [])

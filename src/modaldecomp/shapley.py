@@ -14,7 +14,7 @@ from math import factorial
 import numpy as np
 
 from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice, _sweep_runs
-from .model import ModelGraph, forward
+from .model import ModelGraph, _check_inputs, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
 
@@ -89,6 +89,7 @@ def shapley(model: ModelGraph, inputs: dict[int, np.ndarray]) -> Attribution:
     absent modalities zeroed. Guarded to M <= 12.
     """
     _check_size(model.modalities)
+    _check_inputs(model, inputs)
     m = model.modalities
     zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
 

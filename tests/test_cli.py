@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from modaldecomp import GenSpec, gen_sample_set, gen_synthetic_model, save_model, save_samples
+from modaldecomp import cli
+
 SMALL = ["--grid", "8", "--channels", "4", "--depth", "2"]
 
 
@@ -435,3 +438,73 @@ class TestDeterminism:
                 (workdir / f"det_{kind}_{tag}.json").read_bytes() for kind in ("model", "s", "r", "t", "a")
             ]
         assert outputs["a"] == outputs["b"] == outputs["c"]
+
+
+# every value a mutated field takes; no large integers, since a padding of
+# 100000 would ask numpy for terabytes
+FUZZ_POOL = [None, True, 0, -1, 3, 2.5, "x", [], [1.0], [[1.0, 2.0]], {}]
+_DELETE = object()
+
+
+def _mutants(doc, paths):
+    """(label, copy of doc) with the value at each path deleted, then replaced by each pool value."""
+    for path in paths:
+        for value in [_DELETE, *FUZZ_POOL]:
+            mutant = json.loads(json.dumps(doc))
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            label = "/".join(map(str, path))
+            yield f"{label}={'<deleted>' if value is _DELETE else repr(value)}", mutant
+
+
+class TestDocumentFuzz:
+    """Every field of a valid model and sample document, deleted or mistyped, ends in an exit code, never a traceback."""
+
+    def test_mutated_documents_exit_cleanly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LMD_THREADS", raising=False)
+        parser = cli.build_parser()  # built once: building it costs about as much as a run
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        model = gen_synthetic_model(5, GenSpec(modalities=2, grid=3, channels=2, depth=3, include_attention=True))
+        model_doc = json.loads(save_model(model))
+        samples_doc = json.loads(save_samples(gen_sample_set(6, model, 2)))
+        first = {}
+        for i, layer in enumerate(model_doc["layers"]):
+            first.setdefault(layer["kind"], i)
+        assert len(first) == 12  # one layer of each kind
+        model_paths = [("layers", i, key) for i in first.values() for key in model_doc["layers"][i]]
+        model_paths += [(key,) for key in model_doc]
+        sample_paths = [(key,) for key in samples_doc] + [("samples", 0, m) for m in samples_doc["samples"][0]]
+
+        m_file, s_file, out = (str(tmp_path / name) for name in ("model.json", "samples.json", "out.json"))
+        files = ["--model", m_file, "--samples", s_file, "--out", out]
+        commands = [
+            ["decompose", *files],
+            ["metrics", "--stride", "1", "--offsets", "1", *files],
+            ["shapley", *files],
+            ["shapley", "--hybrid", *files],
+        ]
+        gen_samples = ["gen-samples", "--model", m_file, "--count", "2", "--out", out]
+        cases = [(label, mutant, samples_doc, commands + [gen_samples]) for label, mutant in _mutants(model_doc, model_paths)]
+        cases += [(label, model_doc, mutant, commands) for label, mutant in _mutants(samples_doc, sample_paths)]
+
+        failures = []
+        for label, mdoc, sdoc, argvs in cases:
+            (tmp_path / "model.json").write_text(json.dumps(mdoc))
+            (tmp_path / "samples.json").write_text(json.dumps(sdoc))
+            for argv in argvs:
+                command = " ".join(argv[: argv.index("--model")])
+                try:
+                    code = cli.main(argv)
+                except Exception as e:  # any escape is a failure, recorded with the document that caused it
+                    failures.append((label, command, f"{type(e).__name__}: {e}"))
+                    capsys.readouterr()
+                    continue
+                err = capsys.readouterr().err.splitlines()
+                if code not in (0, 2, 3) or (code and not (err and err[-1].startswith("error:"))):
+                    failures.append((label, command, code, err[-1:]))
+        assert not failures, failures[:10]

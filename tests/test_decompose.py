@@ -610,8 +610,8 @@ class TestPropagateReadsState:
             assert all(cache[key] is before[lid][key] for key in cache)
 
 
-def with_axes(model, concat_axis, ln_axes):
-    """The model with the given concat axis and LayerNorm axes."""
+def with_axes(model, concat_axis, ln_axes, softmax_axis=2):
+    """The model with the given concat axis, LayerNorm axes and Softmax axis."""
     layers = []
     for layer in model.layers:
         params = dict(layer.params)
@@ -619,6 +619,8 @@ def with_axes(model, concat_axis, ln_axes):
             params["axis"] = concat_axis
         elif layer.kind == "LayerNorm":
             params["axes"] = ln_axes
+        elif layer.kind == "Softmax":
+            params["axis"] = softmax_axis
         layers.append(LayerSpec(layer.id, layer.kind, layer.inputs, params))
     return ModelGraph(layers, model.output, model.modalities)
 
@@ -632,8 +634,8 @@ class TestNegativeAxes:
     def test_negative_axes_decompose_bit_identical(self, cfg, ln_axes):
         model = small_model(norms=("layernorm",), include_attention=True)
         x = gen_sample_set(4, model, 1)[0]
-        pos = with_axes(model, 0, ln_axes)
-        neg = with_axes(model, -3, tuple(a - 3 for a in ln_axes))
+        pos = with_axes(model, 0, ln_axes, 2)
+        neg = with_axes(model, -3, tuple(a - 3 for a in ln_axes), -1)
         a, b = decompose(pos, x, cfg), decompose(neg, x, cfg)
         for lid, d in a.components.items():
             assert np.array_equal(b.components[lid].parts, d.parts)
@@ -645,6 +647,16 @@ class TestNegativeAxes:
         first = next(l.id for l in model.layers if l.kind == "LayerNorm")
         with pytest.raises(ValueError, match=f"layer '{first}' axes \\[0, {axis}\\] out of range for rank 3"):
             decompose(model, gen_sample_set(4, model, 1)[0])
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_softmax_axis_out_of_range_names_layer(self, axis):
+        model = with_axes(small_model(include_attention=True), 0, (0, 1, 2), axis)
+        x = gen_sample_set(4, model, 1)[0]
+        for run in (decompose, forward):
+            with pytest.raises(
+                ModelError, match=f"layer 'attn_softmax' softmax axis {axis} out of range for rank 3"
+            ):
+                run(model, x)
 
     @pytest.mark.parametrize("axis", [3, -4])
     def test_concat_axis_out_of_range(self, axis):

@@ -111,6 +111,14 @@ def test_missing_modality_input():
         forward(model, {0: np.array([1.0])})
 
 
+@pytest.mark.parametrize("weight", [3.0, [], [1.0], [2.0, 3.0]])
+def test_dense_weight_must_be_a_matrix(weight):
+    model = scalar_pair_model()
+    model.by_id["head"].params["weight"] = np.asarray(weight, dtype=float).reshape(-1)
+    with pytest.raises(ModelError, match="dense shape mismatch"):
+        forward(model, {0: np.array([1.0]), 1: np.array([1.0])})
+
+
 def test_input_shape_checked():
     model = scalar_pair_model()
     with pytest.raises(ModelError, match="expects shape"):

@@ -46,7 +46,8 @@ def _ordered_subset(names):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, separable=False):
+    """A draw as the module docstring says; separable ones have no attention and act_rule 'none'."""
     spec = GenSpec(
         modalities=draw(st.integers(1, 4)),
         grid=draw(st.integers(1, 6)),
@@ -54,9 +55,9 @@ def cases(draw):
         depth=draw(st.integers(1, 3)),
         norms=draw(_ordered_subset(["batchnorm", "layernorm", "instancenorm"])),
         activations=draw(_ordered_subset(["relu", "gelu"])),
-        include_attention=draw(st.booleans()),
+        include_attention=not separable and draw(st.booleans()),
     )
-    act_rules = ["none", "sum", "ratio"] if spec.modalities == 2 else ["none"]
+    act_rules = ["none", "sum", "ratio"] if spec.modalities == 2 and not separable else ["none"]
     cfg = SplitConfig(
         draw(st.sampled_from(["identity", "uniform"])),
         draw(st.sampled_from(["ratio", "identity", "uniform"])),
@@ -122,3 +123,17 @@ def test_hybrid_shapley_equals_full_propagate_game(case):
 
     assume(_cancellation(res.components) <= 1e6)
     assert fresh.efficiency_residual() <= EQUALITY_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(separable=True))
+def test_rows_separate_on_separable_graphs(case):
+    """With every layer row-separable, replacing modality m's input leaves every other row and the bias row untouched."""
+    model, cfg, x, y, _ = case
+    state = decompose(model, x, cfg).state
+    clean = propagate(model, state, x, cfg)
+    for m in range(model.modalities):
+        replaced = propagate(model, state, {**x, m: y[m]}, cfg)
+        kept = [o for o in range(model.modalities + 1) if o != m]
+        for lid, d in replaced.items():
+            assert np.array_equal(d.parts[kept], clean[lid].parts[kept]), (m, lid)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modaldecomp import (
+    ModelError,
     ModelGraph,
     SplitConfig,
     decompose,
@@ -29,6 +30,14 @@ def test_hand_enumerable_affine_example():
     assert np.allclose(attr.base, [1.0], atol=1e-12)
     assert attr.n_forwards == 4
     assert attr.efficiency_residual() <= 1e-9
+
+
+@pytest.mark.parametrize("missing", [0, 1])
+def test_missing_modality_refused(missing):
+    model = scalar_pair_model()
+    inputs = {m: np.array([1.0]) for m in range(2) if m != missing}
+    with pytest.raises(ModelError, match=f"missing input for modality {missing}"):
+        shapley(model, inputs)
 
 
 def test_null_player_gets_zero():
