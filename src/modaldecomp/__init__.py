@@ -28,7 +28,6 @@ from .decompose import (
     lin_softmax,
     propagate,
     record,
-    split_input,
 )
 from .metrics import (
     CellStats,
@@ -109,6 +108,5 @@ __all__ = [
     "save_model",
     "save_samples",
     "shapley",
-    "split_input",
     "variant_matrix",
 ]

@@ -1,8 +1,9 @@
 """Command-line surface: generate models and samples, decompose, score, attribute.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed files,
-impossible configurations), 3 numerical-contract violation (non-finite
-activations or attributions, or an equality residual above tolerance).
+impossible configurations, an input too large to allocate), 3
+numerical-contract violation (non-finite activations or attributions, or an
+equality residual above tolerance).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def cmd_decompose(args) -> int:
     print(f"wrote {args.out} (max equality residual {residuals[worst]:.3e})")
     if residuals[worst] > EQUALITY_TOL:
         print(
-            f"equality residual {residuals[worst]:.3e} above {EQUALITY_TOL:.0e} "
+            f"error: equality residual {residuals[worst]:.3e} above {EQUALITY_TOL:.0e} "
             f"in layer '{worst}'",
             file=sys.stderr,
         )
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     except DecompositionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

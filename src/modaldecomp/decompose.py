@@ -23,18 +23,18 @@ layer the components sum to the layer's activation.
 
 A sweep can carry J runs under one recorded state in a (J*M+1, *map) stack:
 row j*M+m holds run j's modality m and the last row is the bias row. Over
-the row-separable prefix (see _frontier) the bias row is the same in every
-run, so _sweep_runs pushes all J runs at once and stops at the frontier; a
-'uniform' constant is split M+1 ways whatever the row count. The plan's
-liveness table lets a sweep drop each stack after its last reader unless the
-caller keeps it: record keeps none, the protocol's clean pass and the stacked
-sweep keep the frontier, and decompose and propagate keep every layer's.
+the row-separable prefix (see _Plan) the bias row is the same in every run,
+so _sweep_runs pushes all J runs at once and stops at the frontier, and
+_splice reads run j's rows from that layout; a 'uniform' constant is split
+M+1 ways whatever the row count. The plan's liveness table lets a sweep drop
+each stack after its last reader unless the caller keeps it: record keeps
+none, the protocol's clean pass and the stacked sweep keep the frontier, and
+decompose and propagate keep every layer's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "DecompositionError",
     "EQUALITY_TOL",
     "record",
-    "split_input",
     "lin_affine",
     "lin_concat",
     "lin_residual_add",
@@ -229,11 +228,6 @@ def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | 
 # --- frozen per-layer rules on component stacks ---------------------------
 
 
-def split_input(x: np.ndarray, modality: int, num_modalities: int) -> DecomposedTensor:
-    """Decompose an input layer: its own modality carries x, all else zero."""
-    return DecomposedTensor(_input_stack([as_tensor(x)], modality, num_modalities))
-
-
 def _input_stack(xs: list[np.ndarray], modality: int, num_modalities: int) -> np.ndarray:
     """An input layer's stack over J runs: row j*M+modality holds xs[j], every other row is zero."""
     h = np.zeros((len(xs) * num_modalities + 1,) + xs[0].shape)
@@ -282,30 +276,6 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
             return (lambda s: (s - s.mean(axis=axes, keepdims=True)) * scale), beta, "identity"
         return (lambda s: s * scale), beta - cache["mean"] * scale, cfg.ln_rule
     raise ValueError(f"no frozen single-input rule for kind '{kind}'")
-
-
-def _frontier(model: ModelGraph, cfg: SplitConfig) -> tuple[list[LayerSpec], set[str]]:
-    """The layers past the row-separable prefix, and the prefix stacks they read.
-
-    Every frozen rule computes component r of its output from component r of
-    its inputs, except MatMul (cross terms go to bias) and the _ACT_RULE_KINDS
-    under an act_rule that re-routes bias mass; a layer is separable when its
-    rule is not one of these and all of its inputs are separable. Up to the
-    first row-mixing layer, each row of a stack is therefore the same
-    whatever the other rows hold. The frontier includes a separable output.
-    """
-    separable: set[str] = set()
-    for layer in model.layers:
-        mixing = layer.kind == "MatMul" or (
-            layer.kind in _ACT_RULE_KINDS and cfg.act_rule != "none"
-        )
-        if not mixing and all(i in separable for i in layer.inputs):
-            separable.add(layer.id)
-    suffix = [layer for layer in model.layers if layer.id not in separable]
-    frontier = {i for layer in suffix for i in layer.inputs if i in separable}
-    if model.output in separable:
-        frontier.add(model.output)
-    return suffix, frontier
 
 
 def _push(rule, h: np.ndarray, eps: float, width: int) -> np.ndarray:
@@ -432,12 +402,22 @@ def lin_activation(
 class _Plan:
     """What one call keeps fixed for (model, cfg), and no stack or state.
 
-    The layer order (model.layers), the splice suffix and frontier (see
-    _frontier), the rules bound without recorded values (_STATIC_KINDS),
-    and, built on first use by the sweeps that drop stacks, the separable
-    prefix and the liveness table. decompose, propagate,
-    perturbation_protocol and hybrid_shapley build one per call and pass it
-    to every sweep and splice they run.
+    One walk over model.layers gives:
+    - rules, the rules bound without recorded values (_STATIC_KINDS);
+    - prefix and suffix, the layers inside and past the row-separable
+      prefix, in model order. Every frozen rule computes component r of its
+      output from component r of its inputs, except MatMul (cross terms go
+      to bias) and the _ACT_RULE_KINDS under an act_rule that re-routes bias
+      mass; a layer is separable when its rule is not one of these and all
+      of its inputs are separable. Up to the first row-mixing layer, each row
+      of a stack is therefore the same whatever the other rows hold;
+    - frontier, the prefix stacks that the suffix reads, plus a separable
+      output;
+    - frees, the liveness table: frees[lid] lists the stacks whose last
+      reader is layer lid, and a layer nothing reads frees its own.
+
+    decompose, propagate, perturbation_protocol and hybrid_shapley build one
+    per call and pass it to every sweep and splice they run.
     """
 
     def __init__(self, model: ModelGraph, cfg: SplitConfig):
@@ -446,29 +426,26 @@ class _Plan:
                 f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, model has {model.modalities}"
             )
         self.model, self.cfg = model, cfg
-        self.suffix, self.frontier = _frontier(model, cfg)
-        rank, self.rules = {}, {}
+        self.rules, self.prefix, self.suffix, self.frontier = {}, [], [], set()
+        rank, separable, last_reader = {}, set(), {}
         for layer in model.layers:
             # every kind keeps the rank of its first input
             rank[layer.id] = len(layer.params["shape"]) if layer.kind == "Input" else rank[layer.inputs[0]]
             if layer.kind in _STATIC_KINDS:
                 self.rules[layer.id] = _frozen_rule(layer, None, cfg, rank[layer.id])
-
-    @cached_property
-    def prefix(self) -> list[LayerSpec]:
-        """The layers before the suffix, in model order."""
-        in_suffix = {layer.id for layer in self.suffix}
-        return [layer for layer in self.model.layers if layer.id not in in_suffix]
-
-    @cached_property
-    def frees(self) -> dict[str, list[str]]:
-        """frees[lid] lists the stacks whose last reader is layer lid; a layer nothing reads frees its own."""
-        layers = self.model.layers
-        last_reader = {i: layer.id for layer in layers for i in layer.inputs}
-        frees = {layer.id: [] for layer in layers}
-        for layer in layers:
-            frees[last_reader.get(layer.id, layer.id)].append(layer.id)
-        return frees
+            mixing = layer.kind == "MatMul" or (layer.kind in _ACT_RULE_KINDS and cfg.act_rule != "none")
+            if not mixing and separable.issuperset(layer.inputs):
+                separable.add(layer.id)
+                self.prefix.append(layer)
+            else:
+                self.suffix.append(layer)
+                self.frontier.update(separable.intersection(layer.inputs))
+            last_reader.update(dict.fromkeys(layer.inputs, layer.id))
+        if model.output in separable:
+            self.frontier.add(model.output)
+        self.frees = {lid: [] for lid in rank}
+        for lid in rank:
+            self.frees[last_reader.get(lid, lid)].append(lid)
 
     def step(self, layer: LayerSpec, ups: list[np.ndarray], state: RecordedState, runs, recording: bool):
         """The stack of layer from its input stacks ups, binding a rule not bound yet from state's cache.
@@ -529,21 +506,24 @@ def _check_finite(lid: str, h: np.ndarray) -> None:
 
 
 def _splice(
-    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members
+    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members, run=0
 ) -> dict[str, np.ndarray]:
-    """The stacks of a run taking the members' rows from take and every other row from rest.
+    """The stacks of a run taking the members' rows from run `run` of take and every other row from rest.
 
-    members is a set of modality indices. In the separable prefix (see
-    _frontier) each row of a stack is the same whatever the other rows hold,
-    and the bias row is the same in every run, so the frontier stacks are
+    members is a set of modality indices. take may hold J runs (see
+    _sweep_runs); an (M+1)-row stack is run 0. In the separable prefix (see
+    _Plan) each row of a stack is the same whatever the other rows hold, and
+    the bias row is the same in every run, so the frontier stacks are
     spliced row by row and only the suffix is run again. Returns the spliced
     frontier and the suffix stacks; the output is always among them.
     """
-    rows = [m in members for m in range(plan.model.modalities)] + [False]  # bias last
+    m = plan.model.modalities
+    rows = [i in members for i in range(m)] + [False]  # the bias row always comes from rest
     comp = {}
     for lid in plan.frontier:
-        keep = np.reshape(rows, (-1,) + (1,) * (take[lid].ndim - 1))
-        comp[lid] = np.where(keep, take[lid], rest[lid])
+        keep = np.reshape(rows, (-1,) + (1,) * (rest[lid].ndim - 1))
+        # a view of run's M rows and the next row, which keep never takes
+        comp[lid] = np.where(keep, take[lid][run * m : run * m + m + 1], rest[lid])
     return _propagate_layers(plan, plan.suffix, state, None, comp)
 
 
@@ -552,29 +532,28 @@ def _sweep_runs(plan: _Plan, state: RecordedState, runs: list[dict[int, np.ndarr
 
     Each stack has J*M+1 rows for the J runs: row j*M+m is run j's modality
     m and the last row is the bias row, which in the prefix is the same in
-    every run (see _frontier). Run j's own (M+1)-row stack is its row block
-    plus the bias row; the suffix is not run.
+    every run (see _Plan). Run j's own (M+1)-row stack is its row block plus
+    the bias row, which _splice(..., run=j) reads; the suffix is not run.
     """
     return _propagate_layers(plan, plan.prefix, state, runs, {}, keep=plan.frontier)
 
 
-def _propagate(plan: _Plan, state: RecordedState, inputs: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every layer's stack under a recorded linearization (see propagate)."""
-    if plan.cfg.epsilon != state.epsilon:
-        raise ValueError(f"state was recorded with epsilon {state.epsilon}, config has {plan.cfg.epsilon}")
-    return _propagate_layers(plan, plan.model.layers, state, [inputs], {})
-
-
 def _decompose(
-    plan: _Plan, inputs: dict[int, np.ndarray], keep=None
+    plan: _Plan, inputs: dict[int, np.ndarray], keep=None, state: RecordedState | None = None
 ) -> tuple[dict[str, np.ndarray], RecordedState]:
-    """The stacks in keep (every layer's when None) and the state recorded in the same sweep (see decompose).
+    """The stacks in keep (every layer's when None) and the state, recorded in the same sweep unless given.
 
-    The first non-finite layer in model order raises DecompositionError.
+    When recording, the first non-finite layer in model order raises
+    DecompositionError (see decompose); a given state is only read (see
+    propagate).
     """
-    state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
-    comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording=True, keep=keep)
-    if keep is None:
+    recording = state is None
+    if recording:
+        state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
+    elif plan.cfg.epsilon != state.epsilon:
+        raise ValueError(f"state was recorded with epsilon {state.epsilon}, config has {plan.cfg.epsilon}")
+    comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording, keep)
+    if recording and keep is None:
         # Every stack is still here, so the totals are checked after the
         # sweep: a total formed between two stacks shifts where the allocator
         # places later arrays, and with it how many pages the next calls fault.
@@ -595,7 +574,7 @@ def propagate(
     a linearization recorded from clean inputs. Raises ValueError naming the
     first layer whose cache the state lacks, as a state of another model does.
     """
-    comp = _propagate(_Plan(model, cfg or SplitConfig()), state, inputs)
+    comp = _decompose(_Plan(model, cfg or SplitConfig()), inputs, state=state)[0]
     return {lid: DecomposedTensor(h) for lid, h in comp.items()}
 
 

@@ -178,11 +178,11 @@ def perturbation_protocol(
     is reproduced bit for bit when the splitting rules do not mix components.
     Per sample, one stacked sweep of the separable prefix runs all the
     offsets' replacement samples at once (see decompose._sweep_runs); per
-    offset, each perturbation set's run is spliced from that offset's rows
-    and the clean run (see decompose._splice), and one stacked call scores
-    all the offset's (set, modality) pairs. Degenerate pairs (a constant or
-    non-finite map) are counted per cell and excluded from the Pearson
-    aggregate rather than silently averaged.
+    offset, each perturbation set's run is spliced from that offset's run
+    of the sweep and the clean run (see decompose._splice), and one stacked
+    call scores all the offset's (set, modality) pairs. Degenerate pairs (a
+    constant or non-finite map) are counted per cell and excluded from the
+    Pearson aggregate rather than silently averaged.
     """
     cfg = cfg or SplitConfig()
     mcfg = mcfg or MetricConfig()
@@ -207,10 +207,8 @@ def perturbation_protocol(
         replaced = _sweep_runs(plan, state, runs)
 
         def one_offset(j: int) -> tuple[np.ndarray, ...]:
-            # (sets, M) scores of runs[j]: its rows of the stacked sweep, then its splices
-            rows = [*range(j * n_mod, (j + 1) * n_mod), -1]
-            run = {lid: h[rows] for lid, h in replaced.items()}
-            outs = [_splice(plan, state, run, comp, p)[model.output][:-1] for p in perturb_sets]
+            # (sets, M) scores of runs[j]: its splices from run j of the stacked sweep and the clean run
+            outs = [_splice(plan, state, replaced, comp, p, j)[model.output][:-1] for p in perturb_sets]
             a, b = clean_rows, np.stack(outs).reshape(-1, *clean_rows.shape)
             if mcfg.positive_parts:
                 a, b = _max_positive(a, -1), _max_positive(b, -1)

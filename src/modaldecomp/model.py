@@ -47,6 +47,14 @@ _KINDS = {
 
 LAYER_KINDS = frozenset(_KINDS)
 
+# per kind, the vectors that must share one shape, which must be 1-D where the
+# entries are per channel; a shorter vector would otherwise broadcast silently
+_VECTORS = {
+    "BatchNorm": ("mean", "var", "gamma", "beta"),
+    "InstanceNorm": ("gamma", "beta"),
+    "LayerNorm": ("gamma", "beta"),
+}
+
 FUSION_KINDS = frozenset({"ConcatFusion", "MatMul"})
 
 
@@ -101,6 +109,7 @@ class ModelGraph:
                     raise ModelError(
                         f"layer '{layer.id}' references '{up}' which does not precede it"
                     )
+            _check_vectors(layer)
             if layer.kind == "Input":
                 m = layer.params.get("modality")
                 if not isinstance(m, int) or not 0 <= m < self.modalities:
@@ -138,6 +147,22 @@ class ModelGraph:
 
     def input_shape(self, modality: int) -> tuple[int, ...]:
         return tuple(self.by_id[self.modality_inputs[modality]].params["shape"])
+
+
+def _check_vectors(layer: LayerSpec) -> None:
+    """Raise ModelError naming both fields where a layer's vectors disagree in shape (see _VECTORS)."""
+    p, where = layer.params, f"layer '{layer.id}' ({layer.kind})"
+    if layer.kind == "Dense":
+        bias, weight = np.shape(p.get("bias")), np.shape(p.get("weight"))
+        if len(bias) != 1 or bias != weight[:1]:
+            raise ModelError(f"{where} 'bias' shape {bias} must be 1-D with one entry per row of 'weight' {weight}")
+        return
+    names = _VECTORS.get(layer.kind, ())
+    for key in names[1:]:
+        a, b = np.shape(p.get(names[0])), np.shape(p.get(key))
+        if a != b or (layer.kind != "LayerNorm" and len(a) != 1):
+            rule = "one shape" if layer.kind == "LayerNorm" else "1-D of one length"
+            raise ModelError(f"{where} '{names[0]}' shape {a} and '{key}' shape {b} must be {rule}")
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:

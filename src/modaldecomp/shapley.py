@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _propagate, _splice, _sweep_runs
+from .decompose import SplitConfig, _decompose, _Plan, _splice, _sweep_runs
 from .model import ModelGraph, _check_inputs, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -131,10 +131,7 @@ def hybrid_shapley(
     if method not in ("shapley", "proportional"):
         raise ValueError(f"unknown redistribution method '{method}'")
     plan = _Plan(model, cfg)
-    if state is None:
-        full, state = _decompose(plan, inputs)
-    else:
-        full = _propagate(plan, state, inputs)
+    full, state = _decompose(plan, inputs, state=state)
     out = full[model.output]
     h_bias, total = out[-1], out.sum(axis=0)
 

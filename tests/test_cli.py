@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -406,38 +407,73 @@ class TestShapley:
         assert not (workdir / out).exists()
 
 
-class TestDeterminism:
-    def test_every_command_byte_identical_across_runs_and_threads(self, workdir):
-        outputs = {}
-        for tag, threads in (("a", 1), ("b", 4), ("c", 1)):
-            run_cli(["gen-model", "--seed", "9", *SMALL, "--out", f"det_model_{tag}.json"], workdir, threads=threads)
-            run_cli(
-                ["gen-samples", "--seed", "9", "--model", f"det_model_{tag}.json", "--count", "4", "--out", f"det_s_{tag}.json"],
-                workdir,
-                threads=threads,
-            )
-            run_cli(
-                ["decompose", "--model", f"det_model_{tag}.json", "--samples", f"det_s_{tag}.json", "--out", f"det_r_{tag}.json"],
-                workdir,
-                threads=threads,
-            )
-            run_cli(
-                [
-                    "metrics", "--model", f"det_model_{tag}.json", "--samples", f"det_s_{tag}.json",
-                    "--stride", "1", "--offsets", "2", "--out", f"det_t_{tag}.json",
-                ],
-                workdir,
-                threads=threads,
-            )
-            run_cli(
-                ["shapley", "--model", f"det_model_{tag}.json", "--samples", f"det_s_{tag}.json", "--hybrid", "--out", f"det_a_{tag}.json"],
-                workdir,
-                threads=threads,
-            )
-            outputs[tag] = [
-                (workdir / f"det_{kind}_{tag}.json").read_bytes() for kind in ("model", "s", "r", "t", "a")
-            ]
-        assert outputs["a"] == outputs["b"] == outputs["c"]
+class TestContractErrors:
+    """Failures that used to end without an error line: each ends in one, with exit 2 or 3."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A grid-4, 3-channel attention model document and a samples file for it."""
+        model = gen_synthetic_model(0, GenSpec(grid=4, channels=3, depth=3, include_attention=True))
+        (tmp_path / "samples.json").write_bytes(save_samples(gen_sample_set(1, model, 3)))
+        return tmp_path, json.loads(save_model(model))
+
+    def test_equality_residual_exit_3_ends_with_error_line(self, tmp_path, capsys):
+        spec = GenSpec(modalities=1, grid=1, channels=1, depth=3, norms=("layernorm",), activations=(), include_attention=True)
+        model = gen_synthetic_model(0, spec)
+        (tmp_path / "m.json").write_bytes(save_model(model))
+        (tmp_path / "s.json").write_bytes(save_samples(gen_sample_set(0, model, 1)))
+        report = tmp_path / "r.json"
+        argv = ["decompose", "--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.json"),
+                "--bn-rule", "identity", "--ln-rule", "identity", "--out", str(report)]
+        assert cli.main(argv) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and "'attn_out'" in last
+        assert report.exists()
+
+    @pytest.mark.parametrize("command", [["decompose"], ["shapley"], ["metrics", "--stride", "1", "--offsets", "1"]])
+    def test_allocation_too_large_exits_2(self, files, command):
+        path, doc = files
+        next(l for l in doc["layers"] if l["kind"] == "Conv2d")["padding"] = 100000  # asks for terabytes
+        (path / "huge.json").write_text(json.dumps(doc))
+        two_gib = 2 << 30
+
+        def limit():  # the allocation fails under any overcommit policy, and the import still fits
+            resource.setrlimit(resource.RLIMIT_AS, (two_gib, two_gib))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "modaldecomp", *command, "--model", "huge.json", "--samples", "samples.json", "--out", "x.json"],
+            cwd=path,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+        )
+        assert_validation_error(proc, "Unable to allocate")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, key, other",
+        [
+            ("BatchNorm", "mean", "var"),
+            ("BatchNorm", "var", "mean"),
+            ("BatchNorm", "gamma", "mean"),
+            ("BatchNorm", "beta", "mean"),
+            ("InstanceNorm", "gamma", "beta"),
+            ("InstanceNorm", "beta", "gamma"),
+            ("LayerNorm", "gamma", "beta"),
+            ("LayerNorm", "beta", "gamma"),
+            ("Dense", "bias", "weight"),
+        ],
+    )
+    def test_vector_of_length_one_exits_2(self, files, capsys, kind, key, other):
+        path, doc = files
+        layer = next(l for l in doc["layers"] if l["kind"] == kind)
+        layer[key] = 0.5  # loads as a length-1 array, which would broadcast over every channel
+        (path / "short.json").write_text(json.dumps(doc))
+        argv = ["decompose", "--model", str(path / "short.json"), "--samples", str(path / "samples.json"), "--out", str(path / "x.json")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{layer['id']}'" in err and f"'{key}'" in err and f"'{other}'" in err
 
 
 # every value a mutated field takes; no large integers, since a padding of

@@ -24,9 +24,8 @@ from modaldecomp import (
     perturbation_protocol,
     propagate,
     record,
-    split_input,
 )
-from modaldecomp.decompose import _chord_ratio, _decompose, _frozen_rule, _Plan
+from modaldecomp.decompose import _chord_ratio, _decompose, _frozen_rule, _input_stack, _Plan
 from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
 from conftest import push, scalar_pair_model, small_model
@@ -94,23 +93,36 @@ class TestRecord:
             record(bad, {0: np.array([1.0]), 1: np.array([1.0])})
 
 
+def test_input_layer_stack_is_its_own_modality_row():
+    # at each Input layer only its own modality's row is non-zero, and it and the total are the input
+    model = small_model(modalities=3)
+    x = gen_sample_set(3, model, 1)[0]
+    res = decompose(model, x)
+    for m, lid in model.modality_inputs.items():
+        d = res.components[lid]
+        assert d.parts.shape == (4,) + x[m].shape
+        assert np.array_equal(d.modality(m), x[m]) and np.array_equal(d.total(), x[m])
+        assert all(np.all(d.parts[r] == 0.0) for r in range(4) if r != m)
+
+
 class TestSplitInput:
+    # an Input layer's stack of one run: its own modality carries x, all else zero
     def test_own_component_carries_input(self, rng):
         x = rng.normal(size=(1, 2, 2))
-        d = split_input(x, 0, 2)
+        d = DecomposedTensor(_input_stack([x], 0, 2))
         assert np.array_equal(d.modality(0), x)
         assert np.all(d.modality(1) == 0.0) and np.all(d.bias == 0.0)
 
     def test_three_modalities(self, rng):
         x = rng.normal(size=(4,))
-        d = split_input(x, 2, 3)
+        d = DecomposedTensor(_input_stack([x], 2, 3))
         assert d.parts.shape[0] == 4
         nonzero = [i for i in range(4) if np.any(d.parts[i] != 0)]
         assert nonzero == [2]
 
     def test_components_sum_to_input(self, rng):
         x = rng.normal(size=(3, 3))
-        assert np.array_equal(split_input(x, 1, 2).total(), x)
+        assert np.array_equal(DecomposedTensor(_input_stack([x], 1, 2)).total(), x)
 
 
 class TestAffineRule:
@@ -516,11 +528,11 @@ class TestOneSweep:
 class TestPlan:
     @pytest.mark.parametrize("call", ["protocol", "hybrid"])
     def test_one_plan_per_call(self, monkeypatch, call):
-        """One frontier walk per call, and each Dense/Conv2d/BatchNorm rule bound once."""
+        """One plan per call, and each Dense/Conv2d/BatchNorm rule bound once."""
         engine = sys.modules["modaldecomp.decompose"]  # the package binds the name to the function
-        walks, bound = [], []
-        frontier, frozen_rule = engine._frontier, engine._frozen_rule
-        monkeypatch.setattr(engine, "_frontier", lambda *a: walks.append(1) or frontier(*a))
+        plans, bound = [], []
+        init, frozen_rule = _Plan.__init__, engine._frozen_rule
+        monkeypatch.setattr(_Plan, "__init__", lambda plan, *a: plans.append(1) or init(plan, *a))
         monkeypatch.setattr(engine, "_frozen_rule", lambda layer, *a: bound.append(layer.id) or frozen_rule(layer, *a))
         if call == "protocol":
             model = small_model(include_attention=True)
@@ -528,7 +540,7 @@ class TestPlan:
         else:
             model = small_model(include_attention=True, modalities=4)
             hybrid_shapley(model, gen_sample_set(3, model, 1)[0])
-        assert len(walks) == 1
+        assert len(plans) == 1
         static = [layer.id for layer in model.layers if layer.kind in ("Dense", "Conv2d", "BatchNorm")]
         assert static and sorted(lid for lid in bound if lid in static) == sorted(static)
 

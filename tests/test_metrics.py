@@ -363,12 +363,12 @@ class TestProtocol:
         """A separable model's replacement runs are one prefix sweep per sample, with no full propagate."""
         # the engine's names and the ones metrics imported from it
         counts = count_calls(
-            monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_decompose", "_sweep_runs", "_propagate")
+            monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_decompose", "_sweep_runs")
         )
         model = small_model(modalities=3)
         assert not _Plan(model, SplitConfig()).suffix
         perturbation_protocol(model, gen_sample_set(5, model, 6), mcfg=MetricConfig(offset_count=4))
-        assert counts == {"_decompose": 6, "_sweep_runs": 6, "_propagate": 0}
+        assert counts == {"_decompose": 6, "_sweep_runs": 6}
 
 
 class TestVariantMatrix:

@@ -13,10 +13,11 @@ from modaldecomp import (
     gen_sample_set,
     hybrid_shapley,
     pearson,
+    propagate,
     record,
     shapley,
 )
-from modaldecomp.decompose import _frontier
+from modaldecomp.decompose import _Plan
 
 from conftest import count_calls, full_propagate_hybrid, scalar_pair_model, small_model
 
@@ -215,31 +216,39 @@ class TestCoalitionSharing:
                 assert attr.n_forwards == 1 << model.modalities
 
     def test_one_decompose_one_prefix_sweep_and_a_splice_per_coalition(self, monkeypatch):
-        """The empty run is a prefix sweep and every coalition a splice; no full propagate without a state."""
+        """One full sweep, the empty run a prefix sweep and every coalition a splice; a given state is only read."""
         model = small_model(modalities=4, include_attention=True)
         x, y = gen_sample_set(5, model, 2).samples
         state = record(model, x)
-        names = ("_decompose", "_sweep_runs", "_splice", "_propagate")
+        before = {lid: dict(cache) for lid, cache in state.caches.items()}
+        names = ("_decompose", "_sweep_runs", "_splice")
         counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.shapley"), names)
         hybrid_shapley(model, x)
-        assert counts == {"_decompose": 1, "_sweep_runs": 1, "_splice": 16, "_propagate": 0}
+        assert counts == {"_decompose": 1, "_sweep_runs": 1, "_splice": 16}
         counts.update(dict.fromkeys(names, 0))
-        hybrid_shapley(model, y, state=state)
-        assert counts == {"_decompose": 0, "_sweep_runs": 1, "_splice": 16, "_propagate": 1}
+        attr = hybrid_shapley(model, y, state=state)
+        assert counts == {"_decompose": 1, "_sweep_runs": 1, "_splice": 16}
+        # y pushed through x's linearization, not a fresh one, and no cache added or replaced
+        assert np.array_equal(attr.total, propagate(model, state, y)[model.output].total())
+        assert not np.array_equal(attr.total, decompose(model, y).output.total())
+        assert state.caches.keys() == before.keys()
+        for lid, cache in state.caches.items():
+            assert cache.keys() == before[lid].keys()
+            assert all(cache[key] is before[lid][key] for key in cache)
 
     def test_frontier_of_attention_net(self):
         model = small_model(5, modalities=3, include_attention=True)
-        suffix, frontier = _frontier(model, SplitConfig())
-        assert [layer.id for layer in suffix] == [
+        plan = _Plan(model, SplitConfig())
+        assert [layer.id for layer in plan.suffix] == [
             "attn_scores", "attn_softmax", "attn_out", "head"
         ]
-        assert frontier == {"attn_q", "attn_k", "attn_v"}
+        assert plan.frontier == {"attn_q", "attn_k", "attn_v"}
 
     def test_sum_rule_makes_branch_activations_mix_rows(self):
         model = small_model(5)
-        suffix, frontier = _frontier(model, SplitConfig())
-        assert suffix == [] and frontier == {model.output}
-        suffix, frontier = _frontier(model, SplitConfig(act_rule="sum"))
-        mixed = {layer.id for layer in suffix}
+        plan = _Plan(model, SplitConfig())
+        assert plan.suffix == [] and plan.frontier == {model.output}
+        plan = _Plan(model, SplitConfig(act_rule="sum"))
+        mixed = {layer.id for layer in plan.suffix}
         assert "branch0_act" in mixed and "branch1_act" in mixed
-        assert "branch0_norm" in frontier
+        assert "branch0_norm" in plan.frontier
