@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 validation error (bad flags, malformed files,
 impossible configurations, an input too large to allocate), 3
 numerical-contract violation (non-finite activations or attributions, or an
 equality residual above tolerance).
+
+decompose keeps only the output stack: each layer's equality residual is
+taken inside the sweep, against a forward evaluated alongside it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from .decompose import (
     EQUALITY_TOL,
     DecompositionError,
     SplitConfig,
+    _output_and_residuals,
     component_labels,
-    decompose,
-    equality_residuals,
 )
 from .heatmap import NORMALIZATIONS, as_2d, write_component_maps
 from .metrics import MetricConfig, format_table, report_to_json, variant_matrix
@@ -105,8 +107,7 @@ def cmd_decompose(args) -> int:
     if not 0 <= args.index < samples.n:
         raise ValueError(f"sample index {args.index} out of range (n={samples.n})")
     cfg = _split_config(args)
-    result = decompose(model, samples[args.index], cfg)
-    residuals = equality_residuals(model, result.components, result.state)
+    output, residuals = _output_and_residuals(model, samples[args.index], cfg)
     worst = max(residuals, key=residuals.get)
     doc = {
         "version": 1,
@@ -115,12 +116,12 @@ def cmd_decompose(args) -> int:
         "max_equality_residual": residuals[worst],
         "worst_layer": worst,
         "residuals": residuals,
-        "components": result.output.to_dict(),
+        "components": output.to_dict(),
     }
     Path(args.out).write_bytes(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
     if args.heatmaps:
         labels = component_labels(model.modalities)
-        comps = {lab: as_2d(result.output.parts[i]) for i, lab in enumerate(labels)}
+        comps = {lab: as_2d(output.parts[i]) for i, lab in enumerate(labels)}
         write_component_maps(args.heatmaps, comps, args.encoding, args.norm)
     print(f"wrote {args.out} (max equality residual {residuals[worst]:.3e})")
     if residuals[worst] > EQUALITY_TOL:

@@ -28,8 +28,10 @@ so _sweep_runs pushes all J runs at once and stops at the frontier, and
 _splice reads run j's rows from that layout; a 'uniform' constant is split
 M+1 ways whatever the row count. The plan's liveness table lets a sweep drop
 each stack after its last reader unless the caller keeps it: record keeps
-none, the protocol's clean pass and the stacked sweep keep the frontier, and
-decompose and propagate keep every layer's.
+none, the CLI's decompose keeps the output (taking each layer's equality
+residual inside the sweep, against a forward evaluated alongside it), the
+protocol's clean pass and the stacked sweep keep the frontier, and decompose
+and propagate keep every layer's.
 """
 
 from __future__ import annotations
@@ -480,29 +482,34 @@ def _propagate_layers(
     comp: dict,
     recording: bool = False,
     keep=None,
+    observe=None,
 ) -> dict[str, np.ndarray]:
     """Fill comp with the stack of each of layers, in order (see _Plan.step).
 
     comp must already hold the stacks of every upstream layer outside layers.
     keep=None keeps every stack; otherwise a stack outside keep is dropped
     once its last reader has run (plan.frees), and when recording each
-    layer's total is checked before it can be dropped (see _check_finite).
+    layer's total is checked, then handed to observe, before it can be
+    dropped (see _check_finite).
     """
     for layer in layers:
         h = comp[layer.id] = plan.step(layer, [comp[i] for i in layer.inputs], state, runs, recording)
         if keep is not None:
             if recording:
-                _check_finite(layer.id, h)
+                _check_finite(layer, h, observe)
             for lid in plan.frees[layer.id]:
                 if lid not in keep:
                     del comp[lid]
     return comp
 
 
-def _check_finite(lid: str, h: np.ndarray) -> None:
-    """Raise DecompositionError if layer lid's total (the sum of its stack h) is not finite."""
-    if not np.all(np.isfinite(h.sum(axis=0))):
-        raise DecompositionError(f"non-finite activation in layer '{lid}'")
+def _check_finite(layer: LayerSpec, h: np.ndarray, observe=None) -> None:
+    """Raise DecompositionError if layer's total (the sum of its stack h) is not finite; else observe(layer, total)."""
+    total = h.sum(axis=0)
+    if not np.all(np.isfinite(total)):
+        raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
+    if observe is not None:
+        observe(layer, total)
 
 
 def _splice(
@@ -539,26 +546,27 @@ def _sweep_runs(plan: _Plan, state: RecordedState, runs: list[dict[int, np.ndarr
 
 
 def _decompose(
-    plan: _Plan, inputs: dict[int, np.ndarray], keep=None, state: RecordedState | None = None
+    plan: _Plan, inputs: dict[int, np.ndarray], keep=None, state: RecordedState | None = None, observe=None
 ) -> tuple[dict[str, np.ndarray], RecordedState]:
     """The stacks in keep (every layer's when None) and the state, recorded in the same sweep unless given.
 
     When recording, the first non-finite layer in model order raises
     DecompositionError (see decompose); a given state is only read (see
-    propagate).
+    propagate). A recording sweep with a keep set calls observe(layer,
+    total) with each layer's checked total, in model order.
     """
     recording = state is None
     if recording:
         state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
     elif plan.cfg.epsilon != state.epsilon:
         raise ValueError(f"state was recorded with epsilon {state.epsilon}, config has {plan.cfg.epsilon}")
-    comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording, keep)
+    comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording, keep, observe)
     if recording and keep is None:
         # Every stack is still here, so the totals are checked after the
         # sweep: a total formed between two stacks shifts where the allocator
         # places later arrays, and with it how many pages the next calls fault.
         for layer in plan.model.layers:
-            _check_finite(layer.id, comp[layer.id])
+            _check_finite(layer, comp[layer.id])
     return comp, state
 
 
@@ -603,10 +611,32 @@ def equality_residuals(
 ) -> dict[str, float]:
     """Per-layer relative residual between component sums and forward at state.inputs."""
     acts = forward(model, state.inputs)
-    out = {}
-    for layer in model.layers:
-        total = components[layer.id].total()
-        ref = acts[layer.id]
-        num = float(np.max(np.abs(total - ref))) if total.size else 0.0
-        out[layer.id] = num / (1.0 + float(np.max(np.abs(ref))))
-    return out
+    return {layer.id: _residual(components[layer.id].total(), acts[layer.id]) for layer in model.layers}
+
+
+def _residual(total: np.ndarray, ref: np.ndarray) -> float:
+    """A layer's relative equality residual: max |total - ref| over 1 + max |ref|."""
+    num = float(np.max(np.abs(total - ref))) if total.size else 0.0
+    return num / (1.0 + float(np.max(np.abs(ref))))
+
+
+def _output_and_residuals(
+    model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig
+) -> tuple[DecomposedTensor, dict[str, float]]:
+    """decompose's output and equality_residuals' values from one sweep that keeps only the output stack.
+
+    Each layer's reference activation is evaluated alongside the sweep from
+    the reference activations of its inputs, compared with the layer's total
+    as soon as the sweep forms it, and dropped after its last reader.
+    """
+    plan = _Plan(model, cfg)
+    acts, residuals = {}, {}
+
+    def observe(layer, total):
+        acts[layer.id] = eval_layer(layer, [acts[i] for i in layer.inputs], inputs)
+        residuals[layer.id] = _residual(total, acts[layer.id])
+        for lid in plan.frees[layer.id]:
+            del acts[lid]
+
+    comp = _decompose(plan, inputs, keep={model.output}, observe=observe)[0]
+    return DecomposedTensor(comp[model.output]), residuals

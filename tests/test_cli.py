@@ -3,12 +3,28 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from modaldecomp import GenSpec, gen_sample_set, gen_synthetic_model, save_model, save_samples
+from modaldecomp import (
+    GenSpec,
+    SplitConfig,
+    component_labels,
+    decompose,
+    equality_residuals,
+    gen_sample_set,
+    gen_synthetic_model,
+    save_model,
+    save_samples,
+)
 from modaldecomp import cli
+from modaldecomp.decompose import _output_and_residuals
+from modaldecomp.heatmap import as_2d, write_component_maps
+
+from conftest import count_calls
 
 SMALL = ["--grid", "8", "--channels", "4", "--depth", "2"]
 
@@ -236,6 +252,146 @@ class TestDecompose:
         for label in ("m0", "m1", "bias"):
             got = parse_csv((workdir / "csvmaps" / f"{label}.csv").read_bytes())
             assert np.array_equal(got, np.asarray(doc["components"][label])[0])
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda entry: entry.pop("1"), "missing input tensor for modality 1"),
+            (
+                lambda entry: entry.update({"0": np.zeros((1, 4, 4)).tolist()}),
+                "input 'in0' expects shape (1, 8, 8), got (1, 4, 4)",
+            ),
+        ],
+        ids=["missing-modality", "wrong-shape"],
+    )
+    def test_bad_sample_fails_in_the_sweeps_input_step(self, workdir, mutate, message):
+        doc = json.loads((workdir / "samples.json").read_text())
+        mutate(doc["samples"][0])
+        (workdir / "badsample.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            ["decompose", "--model", "model.json", "--samples", "badsample.json", "--out", "bad.json"],
+            workdir,
+            check=False,
+        )
+        assert_validation_error(proc, message)
+        assert proc.stderr == f"error: {message}\n"
+        assert not (workdir / "bad.json").exists()
+
+
+def _streamed_case(tmp_path, seed, modalities=2, attention=False):
+    """A grid-8 model and a one-sample file written under tmp_path; returns the model, the sample and the file args."""
+    spec = GenSpec(modalities=modalities, grid=8, channels=4, depth=2, include_attention=attention)
+    model = gen_synthetic_model(seed, spec)
+    samples = gen_sample_set(seed + 1, model, 1)
+    (tmp_path / "m.json").write_bytes(save_model(model))
+    (tmp_path / "s.json").write_bytes(save_samples(samples))
+    return model, samples[0], ["--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.json")]
+
+
+STREAMED_CASES = [
+    (2, False, ["--bn-rule", "identity", "--ln-rule", "ratio"]),
+    (2, False, ["--bn-rule", "uniform", "--ln-rule", "identity"]),
+    (2, False, ["--bn-rule", "identity", "--ln-rule", "identity"]),
+    (2, True, ["--act-rule", "sum"]),
+    (2, True, ["--act-rule", "ratio", "--bn-rule", "uniform"]),
+    (3, True, []),
+]
+
+
+def _config(flags):
+    args = cli.build_parser().parse_args(["decompose", "--model", "m", "--samples", "s", "--out", "o", *flags])
+    return cli._split_config(args)
+
+
+class TestStreamedReport:
+    """decompose keeps only the output stack and takes each layer's residual inside the sweep."""
+
+    @pytest.mark.parametrize("encoding", ["positive-pgm", "signed-csv"])
+    @pytest.mark.parametrize("modalities, attention, flags", STREAMED_CASES)
+    def test_bytes_equal_the_library_report(self, tmp_path, modalities, attention, flags, encoding):
+        model, x, files = _streamed_case(tmp_path, 11, modalities, attention)
+        out, maps = tmp_path / "r.json", tmp_path / "maps"
+        argv = ["decompose", *files, *flags, "--out", str(out), "--heatmaps", str(maps), "--encoding", encoding]
+        assert cli.main(argv) == 0
+        cfg = _config(flags)
+        res = decompose(model, x, cfg)
+        residuals = equality_residuals(model, res.components, res.state)
+        worst = max(residuals, key=residuals.get)
+        doc = {
+            "version": 1,
+            "index": 0,
+            "config": asdict(cfg),
+            "max_equality_residual": residuals[worst],
+            "worst_layer": worst,
+            "residuals": residuals,
+            "components": res.output.to_dict(),
+        }
+        assert out.read_bytes() == json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        labels = component_labels(modalities)
+        want = write_component_maps(
+            tmp_path / "want", {lab: as_2d(res.output.parts[i]) for i, lab in enumerate(labels)}, encoding
+        )
+        assert sorted(p.name for p in maps.iterdir()) == sorted(p.name for p in want)
+        for path in want:
+            assert (maps / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_one_sweep_that_keeps_the_output(self, tmp_path, monkeypatch):
+        model, x, files = _streamed_case(tmp_path, 12, attention=True)
+        counts = count_calls(
+            monkeypatch,
+            ("modaldecomp.decompose", "modaldecomp.cli", "modaldecomp.model"),
+            ("decompose", "equality_residuals", "forward"),
+        )
+        keeps, seen = [], []
+        module = sys.modules["modaldecomp.decompose"]
+        sweep = module._decompose
+
+        def spy(plan, inputs, keep=None, state=None, observe=None):
+            def recorded(layer, total):
+                seen.append((layer.id, total.copy()))
+                observe(layer, total)
+
+            keeps.append(keep)
+            return sweep(plan, inputs, keep, state, recorded)
+
+        monkeypatch.setattr(module, "_decompose", spy)
+        assert cli.main(["decompose", *files, "--out", str(tmp_path / "r.json")]) == 0
+        assert keeps == [{model.output}]
+        assert counts == {"decompose": 0, "equality_residuals": 0, "forward": 0}
+        monkeypatch.undo()
+        res = decompose(model, x)
+        assert [lid for lid, _ in seen] == [layer.id for layer in model.layers]
+        for lid, total in seen:
+            assert np.array_equal(total, res.components[lid].total()), lid
+
+    @pytest.mark.parametrize("modalities, attention, flags", STREAMED_CASES)
+    def test_residuals_equal_equality_residuals(self, tmp_path, modalities, attention, flags):
+        model, x, _ = _streamed_case(tmp_path, 13, modalities, attention)
+        cfg = _config(flags)
+        output, residuals = _output_and_residuals(model, x, cfg)
+        res = decompose(model, x, cfg)
+        assert list(residuals.items()) == list(equality_residuals(model, res.components, res.state).items())
+        assert np.array_equal(output.parts, res.output.parts)
+
+    @pytest.mark.parametrize("grid, modalities", [(16, 2), (16, 3), (8, 3)])
+    def test_peak_memory_below_half_of_two_passes(self, grid, modalities):
+        model = gen_synthetic_model(14, GenSpec(modalities=modalities, grid=grid, channels=8, include_attention=True))
+        x = gen_sample_set(15, model, 1)[0]
+        cfg = SplitConfig()
+
+        def two_passes():
+            res = decompose(model, x, cfg)
+            equality_residuals(model, res.components, res.state)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: _output_and_residuals(model, x, cfg)) < 0.5 * peak(two_passes)
 
 
 class TestMetrics:
