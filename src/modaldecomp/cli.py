@@ -12,7 +12,6 @@ taken inside the sweep, against a forward evaluated alongside it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -27,9 +26,9 @@ from .decompose import (
     _output_and_residuals,
     component_labels,
 )
-from .heatmap import NORMALIZATIONS, as_2d, write_component_maps
+from .heatmap import NORMALIZATIONS, write_component_maps
 from .metrics import MetricConfig, format_table, report_to_json, variant_matrix
-from .model import load_model, save_model
+from .model import _dump_document, load_model, save_model
 from .shapley import hybrid_shapley, shapley
 from .synth import GenSpec, gen_sample_set, gen_synthetic_model, load_samples, save_samples
 
@@ -61,6 +60,15 @@ def _load_model_file(path: str):
 
 def _load_samples_file(path: str):
     return load_samples(Path(path).read_bytes())
+
+
+def _model_and_sample(args):
+    """The model and the inputs of sample args.index, read from the files that args names."""
+    model = _load_model_file(args.model)
+    samples = _load_samples_file(args.samples)
+    if not 0 <= args.index < samples.n:
+        raise ValueError(f"sample index {args.index} out of range (n={samples.n})")
+    return model, samples[args.index]
 
 
 def _parse_perturb(raw: str, modalities: int) -> tuple[int, ...]:
@@ -102,15 +110,11 @@ def cmd_gen_samples(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    model = _load_model_file(args.model)
-    samples = _load_samples_file(args.samples)
-    if not 0 <= args.index < samples.n:
-        raise ValueError(f"sample index {args.index} out of range (n={samples.n})")
+    model, inputs = _model_and_sample(args)
     cfg = _split_config(args)
-    output, residuals = _output_and_residuals(model, samples[args.index], cfg)
+    output, residuals = _output_and_residuals(model, inputs, cfg)
     worst = max(residuals, key=residuals.get)
     doc = {
-        "version": 1,
         "index": args.index,
         "config": asdict(cfg),
         "max_equality_residual": residuals[worst],
@@ -118,10 +122,9 @@ def cmd_decompose(args) -> int:
         "residuals": residuals,
         "components": output.to_dict(),
     }
-    Path(args.out).write_bytes(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+    Path(args.out).write_bytes(_dump_document(doc))
     if args.heatmaps:
-        labels = component_labels(model.modalities)
-        comps = {lab: as_2d(output.parts[i]) for i, lab in enumerate(labels)}
+        comps = dict(zip(component_labels(model.modalities), output.parts))
         write_component_maps(args.heatmaps, comps, args.encoding, args.norm)
     print(f"wrote {args.out} (max equality residual {residuals[worst]:.3e})")
     if residuals[worst] > EQUALITY_TOL:
@@ -154,22 +157,19 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_shapley(args) -> int:
-    model = _load_model_file(args.model)
-    samples = _load_samples_file(args.samples)
-    if not 0 <= args.index < samples.n:
-        raise ValueError(f"sample index {args.index} out of range (n={samples.n})")
+    model, inputs = _model_and_sample(args)
     if args.hybrid:
-        attr = hybrid_shapley(model, samples[args.index], _split_config(args), args.redistribution)
+        attr = hybrid_shapley(model, inputs, _split_config(args), args.redistribution)
     else:
-        attr = shapley(model, samples[args.index])
+        attr = shapley(model, inputs)
     residual = attr.efficiency_residual()
     if not math.isfinite(residual):  # the residual is nan or inf if any attribution is
         raise DecompositionError(f"Shapley attribution of sample {args.index} is not finite")
-    doc = {"version": 1, "index": args.index, "hybrid": bool(args.hybrid)}
+    doc = {"index": args.index, "hybrid": bool(args.hybrid)}
     if args.hybrid:
         doc["redistribution"] = args.redistribution
     doc.update(attr.to_dict())
-    Path(args.out).write_bytes(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+    Path(args.out).write_bytes(_dump_document(doc))
     print(
         f"wrote {args.out} ({attr.n_forwards} coalition evaluations, "
         f"efficiency residual {residual:.3e})"

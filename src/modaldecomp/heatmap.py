@@ -28,14 +28,11 @@ NORMALIZATIONS = ("max-positive", "signed-symmetric", "sigmoid")
 
 
 def as_2d(x: np.ndarray) -> np.ndarray:
-    """Squeeze a component down to a 2-d map; 1-d data becomes a single row."""
+    """A component as a 2-d map: leading axes of size 1 dropped, 1-d data one row, a scalar one pixel."""
     x = as_tensor(x)
-    x = np.squeeze(x)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
+    if any(n != 1 for n in x.shape[:-2]):
         raise ValueError(f"heatmap export needs a 2-d map, got shape {x.shape}")
-    return x
+    return x.reshape(((1, 1) + x.shape)[-2:])
 
 
 def _max_positive(x: np.ndarray, axis=None) -> np.ndarray:

@@ -9,14 +9,13 @@ component of m1 observed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .decompose import SplitConfig, _decompose, _Plan, _splice, _sweep_runs
 from .heatmap import _max_positive
-from .model import ModelGraph
+from .model import ModelGraph, _dump_document
 from .parallel import ordered_map
 from .synth import SampleSet
 from .tensor import as_tensor
@@ -247,8 +246,7 @@ def variant_matrix(
 
 
 def report_to_json(reports: list[SeparationReport]) -> bytes:
-    doc = {"version": 1, "reports": [r.to_dict() for r in reports]}
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _dump_document({"reports": [r.to_dict() for r in reports]})
 
 
 def format_table(reports: list[SeparationReport]) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .tensor import as_tensor, concat, conv2d
+from .tensor import as_tensor, conv2d
 
 __all__ = [
     "LayerSpec",
@@ -112,7 +112,7 @@ class ModelGraph:
             _check_vectors(layer)
             if layer.kind == "Input":
                 m = layer.params.get("modality")
-                if not isinstance(m, int) or not 0 <= m < self.modalities:
+                if not _is_int(m) or not 0 <= m < self.modalities:
                     raise ModelError(f"input layer '{layer.id}' has bad modality {m!r}")
                 if m in self.modality_inputs:
                     raise ModelError(f"modality {m} declared twice ('{layer.id}')")
@@ -273,7 +273,7 @@ def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.
     if kind == "Softmax":
         return _softmax(upstream[0], layer_axis(layer, upstream[0].ndim))
     if kind == "ConcatFusion":
-        return concat(upstream, layer_axis(layer, upstream[0].ndim))
+        return np.concatenate(upstream, axis=layer_axis(layer, upstream[0].ndim))
     if kind == "ResidualAdd":
         a, b = upstream
         if a.shape != b.shape:
@@ -349,27 +349,33 @@ def _layer_from_doc(doc: dict) -> LayerSpec:
     return LayerSpec(doc["id"], kind, inputs, params)
 
 
+def _dump_document(doc: dict) -> bytes:
+    """Encode a document body as compact UTF-8 JSON with "version": 1 first."""
+    return json.dumps({"version": 1, **doc}, separators=(",", ":")).encode("utf-8")
+
+
+def _load_document(data: bytes, what: str) -> dict:
+    """Decode a document written by _dump_document; raises ModelError naming what unless it is a version-1 object."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ModelError(f"{what} document is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ModelError(f"{what} document is not a JSON object")
+    if doc.get("version") != 1:
+        raise ModelError(f"unsupported {what} version {doc.get('version')!r}")
+    return doc
+
+
 def save_model(model: ModelGraph) -> bytes:
     """Serialize to a UTF-8 JSON document; weights inline as number lists."""
-    doc = {
-        "version": 1,
-        "modalities": model.modalities,
-        "layers": [_layer_to_doc(l) for l in model.layers],
-        "output": model.output,
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    layers = [_layer_to_doc(l) for l in model.layers]
+    return _dump_document({"modalities": model.modalities, "layers": layers, "output": model.output})
 
 
 def load_model(data: bytes) -> ModelGraph:
     """Parse a document produced by save_model; round-trips bit-exactly."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ModelError(f"model document is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ModelError("model document is not a JSON object")
-    if doc.get("version") != 1:
-        raise ModelError(f"unsupported model version {doc.get('version')!r}")
+    doc = _load_document(data, "model")
     if "modalities" not in doc or "layers" not in doc or "output" not in doc:
         raise ModelError("model document missing modalities/layers/output")
     modalities, layer_docs, output = doc["modalities"], doc["layers"], doc["output"]

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _splice, _sweep_runs
+from .decompose import SplitConfig, _decompose, _Plan, _residual, _splice, _sweep_runs
 from .model import ModelGraph, _check_inputs, forward
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -31,9 +31,7 @@ class Attribution:
     total: np.ndarray
 
     def efficiency_residual(self) -> float:
-        s = self.base + sum(self.per_modality.values())
-        num = float(np.max(np.abs(s - self.total)))
-        return num / (1.0 + float(np.max(np.abs(self.total))))
+        return _residual(self.base + sum(self.per_modality.values()), self.total)
 
     def to_dict(self) -> dict:
         return {

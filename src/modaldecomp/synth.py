@@ -9,12 +9,11 @@ at distant indices are uncorrelated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LayerSpec, ModelGraph, ModelError
+from .model import LayerSpec, ModelGraph, ModelError, _dump_document, _load_document
 from .tensor import as_tensor
 
 __all__ = [
@@ -217,25 +216,12 @@ def gen_sample_set(seed: int, model: ModelGraph, n: int) -> SampleSet:
 
 
 def save_samples(samples: SampleSet) -> bytes:
-    doc = {
-        "version": 1,
-        "n": samples.n,
-        "samples": [
-            {str(m): s[m].tolist() for m in sorted(s)} for s in samples.samples
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    entries = [{str(m): s[m].tolist() for m in sorted(s)} for s in samples.samples]
+    return _dump_document({"n": samples.n, "samples": entries})
 
 
 def load_samples(data: bytes) -> SampleSet:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ModelError(f"sample document is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ModelError("sample document is not a JSON object")
-    if doc.get("version") != 1:
-        raise ModelError(f"unsupported sample version {doc.get('version')!r}")
+    doc = _load_document(data, "sample")
     if "samples" not in doc:
         raise ModelError("sample document missing 'samples'")
     try:

@@ -1,9 +1,9 @@
-"""Dense float64 tensor kernels for the network runtime.
+"""Dense float64 tensor helpers for the network runtime: coercion and convolution.
 
-Everything here is a pure function over C-contiguous float64 arrays with
-explicit shape checks. There is no broadcasting beyond multiplication by a
-scalar; shape agreement is always verified so that the decomposition
-arithmetic built on top stays auditable.
+as_tensor coerces nested lists or arrays to C-contiguous float64. conv2d is
+a pure function with explicit shape checks and no broadcasting beyond its
+per-channel bias, so that the decomposition arithmetic built on top stays
+auditable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "as_tensor",
     "conv2d",
-    "concat",
 ]
 
 
@@ -94,23 +93,3 @@ def conv2d(
     out = np.ascontiguousarray(acc[..., :h_out, :w_out])  # copies only a larger accumulator
     out += b[:, None, None]
     return out if x.ndim == 4 else out[0]
-
-
-def concat(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    """Lay out tensors contiguously along one axis; a negative axis counts from the end."""
-    if not parts:
-        raise ValueError("concat of an empty list")
-    arrs = [as_tensor(p) for p in parts]
-    first = arrs[0]
-    if not -first.ndim <= axis < first.ndim:
-        raise ValueError(f"concat axis {axis} out of range for rank {first.ndim}")
-    ax = axis % first.ndim
-    for p in arrs[1:]:
-        if p.ndim != first.ndim:
-            raise ValueError(f"concat rank mismatch: {first.shape} vs {p.shape}")
-        for d in range(first.ndim):
-            if d != ax and p.shape[d] != first.shape[d]:
-                raise ValueError(
-                    f"concat extent mismatch off axis {ax}: {first.shape} vs {p.shape}"
-                )
-    return np.concatenate(arrs, axis=ax)

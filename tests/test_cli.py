@@ -17,6 +17,7 @@ from modaldecomp import (
     equality_residuals,
     gen_sample_set,
     gen_synthetic_model,
+    load_model,
     save_model,
     save_samples,
 )
@@ -237,6 +238,16 @@ class TestDecompose:
         assert files == ["bias.pgm", "m0.pgm", "m1.pgm"]
         blob = (workdir / "maps" / "bias.pgm").read_bytes()
         assert blob.startswith(b"P5\n8 8\n255\n") and len(blob) == len(b"P5\n8 8\n255\n") + 64
+
+    def test_grid_one_heatmaps_are_one_pixel(self, tmp_path, capsys):
+        m, s, maps = (str(tmp_path / name) for name in ("m.json", "s.json", "maps"))
+        assert cli.main(["gen-model", "--grid", "1", "--channels", "2", "--depth", "2", "--out", m]) == 0
+        assert cli.main(["gen-samples", "--model", m, "--count", "1", "--out", s]) == 0
+        argv = ["decompose", "--model", m, "--samples", s, "--out", str(tmp_path / "r.json"), "--heatmaps", maps]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        for label in ("m0", "m1", "bias"):
+            blob = (tmp_path / "maps" / f"{label}.pgm").read_bytes()
+            assert blob.startswith(b"P5\n1 1\n255\n") and len(blob) == len(b"P5\n1 1\n255\n") + 1
 
     def test_csv_heatmaps_round_trip(self, workdir):
         run_cli(
@@ -606,6 +617,24 @@ class TestContractErrors:
         )
         assert_validation_error(proc, "Unable to allocate")
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["decompose"], ["shapley"], ["shapley", "--hybrid"], ["metrics", "--stride", "1", "--offsets", "1"]],
+        ids=["decompose", "shapley", "hybrid", "metrics"],
+    )
+    def test_concat_operands_that_disagree_exit_2(self, tmp_path, capsys, command):
+        doc = json.loads(save_model(gen_synthetic_model(0, GenSpec(grid=16, channels=3, depth=2))))
+        next(l for l in doc["layers"] if l["id"] == "in1")["shape"] = [1, 8, 8]  # in0 stays [1, 16, 16]
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        model = load_model(json.dumps(doc).encode())  # the two extents first meet at the concat
+        (tmp_path / "s.json").write_bytes(save_samples(gen_sample_set(1, model, 2)))
+        out = tmp_path / "x.json"
+        argv = [*command, "--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.json"), "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, key, other",

@@ -68,9 +68,22 @@ class TestCsv:
     def test_1d_becomes_row(self):
         assert as_2d(np.arange(3.0)).shape == (1, 3)
 
+    @pytest.mark.parametrize(
+        "shape, want", [((), (1, 1)), ((1, 1, 1), (1, 1)), ((1, 5, 1), (5, 1)), ((5, 1), (5, 1)), ((1, 1, 5), (1, 5))]
+    )
+    def test_leading_unit_axes_dropped_last_two_kept(self, shape, want):
+        x = np.arange(float(np.prod(shape))).reshape(shape)
+        out = as_2d(x)
+        assert out.shape == want and np.array_equal(out.ravel(), x.ravel())
+
     def test_rank3_rejected(self):
         with pytest.raises(ValueError, match="2-d"):
             as_2d(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 1), (2, 1, 3)])
+    def test_leading_axis_above_one_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            as_2d(np.zeros(shape))
 
 
 def test_write_component_maps(tmp_path, rng):

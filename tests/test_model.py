@@ -11,9 +11,12 @@ from modaldecomp import (
     forward,
     gen_sample_set,
     load_model,
+    load_samples,
     save_model,
+    save_samples,
 )
 
+from modaldecomp import cli
 from modaldecomp.model import matmul_pair, norm_stats
 
 from conftest import scalar_pair_model, small_model
@@ -247,6 +250,60 @@ class TestSerialization:
         doc[key] = value
         with pytest.raises(ModelError, match="integer modalities, a layers list and an output id"):
             load_model(json.dumps(doc).encode())
+
+    def test_bool_modality_refused(self):
+        doc = json.loads(save_model(small_model()))
+        next(l for l in doc["layers"] if l["id"] == "in1")["modality"] = True
+        with pytest.raises(ModelError, match="input layer 'in1' has bad modality True"):
+            load_model(json.dumps(doc).encode())
+
+
+class TestDocumentCodec:
+    """Every document is compact UTF-8 JSON with "version": 1 first, and both loaders refuse a bad envelope alike."""
+
+    @pytest.mark.parametrize("load, what", [(load_model, "model"), (load_samples, "sample")], ids=["model", "sample"])
+    @pytest.mark.parametrize(
+        "data, prefix",
+        [
+            (b"{nope", "{what} document is not valid JSON: "),
+            (b"\xff", "{what} document is not valid JSON: "),
+            (b"[1]", "{what} document is not a JSON object"),
+            (b'{"version":2}', "unsupported {what} version 2"),
+        ],
+        ids=["invalid-json", "not-utf8", "not-an-object", "version-2"],
+    )
+    def test_envelope_errors(self, load, what, data, prefix):
+        with pytest.raises(ModelError) as err:
+            load(data)
+        assert str(err.value).startswith(prefix.format(what=what))
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        """The bytes of every document writer, by writer."""
+        path = tmp_path_factory.mktemp("codec")
+        model = small_model(grid=4, depth=1)
+        samples = gen_sample_set(1, model, 2)
+        docs = {"save_model": save_model(model), "save_samples": save_samples(samples)}
+        (path / "m.json").write_bytes(docs["save_model"])
+        (path / "s.json").write_bytes(docs["save_samples"])
+        files = ["--model", str(path / "m.json"), "--samples", str(path / "s.json"), "--out"]
+        commands = {
+            "report_to_json": ["metrics", "--stride", "1", "--offsets", "1"],
+            "decompose": ["decompose"],
+            "shapley": ["shapley"],
+            "shapley-hybrid": ["shapley", "--hybrid"],
+        }
+        for name, command in commands.items():
+            out = path / f"{name}.json"
+            assert cli.main([*command, *files, str(out)]) == 0
+            docs[name] = out.read_bytes()
+        return docs
+
+    @pytest.mark.parametrize("writer", ["save_model", "save_samples", "report_to_json", "decompose", "shapley", "shapley-hybrid"])
+    def test_writers_emit_compact_json_with_version_first(self, documents, writer):
+        blob = documents[writer]
+        assert blob.startswith(b'{"version":1,')
+        assert blob == json.dumps(json.loads(blob), separators=(",", ":")).encode()
 
 
 class TestGraphInvariants:

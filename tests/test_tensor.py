@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from modaldecomp.tensor import concat, conv2d
+from modaldecomp.tensor import conv2d
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -93,25 +93,3 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"\(S,C,H,W\).*" + re.escape(str(shape))):
             conv2d(np.zeros(shape), np.zeros((1, 1, 3, 3)), np.zeros(1), padding=1)
 
-
-class TestConcat:
-    def test_scalars(self):
-        assert np.array_equal(concat([np.array([1.0]), np.array([2.0])], 0), [1.0, 2.0])
-
-    def test_empty_part(self, rng):
-        x = rng.normal(size=(2, 3))
-        out = concat([x, np.zeros((0, 3))], 0)
-        assert np.array_equal(out, x)
-
-    def test_shape_arithmetic(self):
-        out = concat([np.zeros((2, 2)), np.zeros((3, 2))], 0)
-        assert out.shape == (5, 2)
-
-    def test_extent_mismatch(self):
-        with pytest.raises(ValueError, match="extent mismatch"):
-            concat([np.zeros((2, 2)), np.zeros((3, 3))], 0)
-
-    @pytest.mark.parametrize("axis", [3, -4])
-    def test_axis_out_of_range(self, axis):
-        with pytest.raises(ValueError, match=f"axis {axis} out of range for rank 3"):
-            concat([np.zeros((2, 2, 2)), np.zeros((2, 2, 2))], axis)
