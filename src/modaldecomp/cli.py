@@ -26,7 +26,7 @@ from .decompose import (
     _output_and_residuals,
     component_labels,
 )
-from .heatmap import NORMALIZATIONS, write_component_maps
+from .heatmap import NORMALIZATIONS, as_2d, write_component_maps
 from .metrics import MetricConfig, format_table, report_to_json, variant_matrix
 from .model import _dump_document, load_model, save_model
 from .shapley import hybrid_shapley, shapley
@@ -113,6 +113,8 @@ def cmd_decompose(args) -> int:
     model, inputs = _model_and_sample(args)
     cfg = _split_config(args)
     output, residuals = _output_and_residuals(model, inputs, cfg)
+    # a component that is no 2-d map is refused before anything is written
+    maps = args.heatmaps and {lab: as_2d(c) for lab, c in zip(component_labels(model.modalities), output.parts)}
     worst = max(residuals, key=residuals.get)
     doc = {
         "index": args.index,
@@ -123,9 +125,8 @@ def cmd_decompose(args) -> int:
         "components": output.to_dict(),
     }
     Path(args.out).write_bytes(_dump_document(doc))
-    if args.heatmaps:
-        comps = dict(zip(component_labels(model.modalities), output.parts))
-        write_component_maps(args.heatmaps, comps, args.encoding, args.norm)
+    if maps:
+        write_component_maps(args.heatmaps, maps, args.encoding, args.norm)
     print(f"wrote {args.out} (max equality residual {residuals[worst]:.3e})")
     if residuals[worst] > EQUALITY_TOL:
         print(

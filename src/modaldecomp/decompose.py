@@ -21,6 +21,12 @@ with the component axis as a batch axis. Stacks are raw (M+1, *map) arrays
 inside; DecomposedTensor wraps what the public functions return. At every
 layer the components sum to the layer's activation.
 
+Upstream of the first row-mixing rule or 'uniform' constant, a stack can be
+non-zero only in the rows of the modalities that reach its layer, and in the
+bias row once a constant or a non-linear layer lies upstream (the model's
+support table, which the plan reads). A Dense or Conv2d rule on such a stack
+runs its map on those rows alone and leaves the others zero.
+
 A sweep can carry J runs under one recorded state in a (J*M+1, *map) stack:
 row j*M+m holds run j's modality m and the last row is the bias row. Over
 the row-separable prefix (see _Plan) the bias row is the same in every run,
@@ -86,6 +92,7 @@ _ACT_RULES = ("none", "sum", "ratio")
 _ACTIVATION_KINDS = ("ReLU", "GELU", "Softmax")
 _ACT_RULE_KINDS = ("ReLU", "GELU")  # the activations whose bias mass act_rule re-routes
 _STATIC_KINDS = ("Dense", "Conv2d", "BatchNorm")  # rules bound without recorded values
+_NORM_KINDS = ("LayerNorm", "InstanceNorm")  # the norms whose constant ln_rule routes
 
 
 class DecompositionError(RuntimeError):
@@ -268,7 +275,7 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
         scale = channel_shape(p["gamma"] / np.sqrt(p["var"] + p["eps"]), nd)
         const = channel_shape(p["beta"], nd) - channel_shape(p["mean"], nd) * scale
         return (lambda s: s * scale), const, cfg.bn_rule
-    if kind in ("LayerNorm", "InstanceNorm"):
+    if kind in _NORM_KINDS:
         cache = state.caches[layer.id]
         gamma, beta = norm_affine(layer, nd)
         scale = gamma / np.sqrt(cache["var"] + p["eps"])
@@ -416,7 +423,12 @@ class _Plan:
     - frontier, the prefix stacks that the suffix reads, plus a separable
       output;
     - frees, the liveness table: frees[lid] lists the stacks whose last
-      reader is layer lid, and a layer nothing reads frees its own.
+      reader is layer lid, and a layer nothing reads frees its own;
+    - partial, the row-support table: lid's model.support entry (its
+      modalities, and whether its bias row is live) for each stack that no
+      row-mixing rule or 'uniform' constant reaches and that misses a row;
+      only those rows of it can be non-zero, and a Dense or Conv2d rule
+      reading it maps only them (see _live_rows).
 
     decompose, propagate, perturbation_protocol and hybrid_shapley build one
     per call and pass it to every sweep and splice they run.
@@ -429,7 +441,9 @@ class _Plan:
             )
         self.model, self.cfg = model, cfg
         self.rules, self.prefix, self.suffix, self.frontier = {}, [], [], set()
+        self.partial, self._rows = {}, {}
         rank, separable, last_reader = {}, set(), {}
+        every_row = (frozenset(range(model.modalities)), True)
         for layer in model.layers:
             # every kind keeps the rank of its first input
             rank[layer.id] = len(layer.params["shape"]) if layer.kind == "Input" else rank[layer.inputs[0]]
@@ -442,6 +456,11 @@ class _Plan:
             else:
                 self.suffix.append(layer)
                 self.frontier.update(separable.intersection(layer.inputs))
+            norm_rule = cfg.bn_rule if layer.kind == "BatchNorm" else cfg.ln_rule if layer.kind in _NORM_KINDS else None
+            support = model.support[layer.id]
+            partial = support != every_row and all(i in self.partial for i in layer.inputs)
+            if partial and not mixing and norm_rule != "uniform":
+                self.partial[layer.id] = support
             last_reader.update(dict.fromkeys(layer.inputs, layer.id))
         if model.output in separable:
             self.frontier.add(model.output)
@@ -471,7 +490,34 @@ class _Plan:
                 raise ValueError(f"state holds no cache for layer '{layer.id}' of this model")
             state.caches[layer.id] = _layer_cache(layer, ups[0].sum(axis=0), state.epsilon)
         rule = self.rules.get(layer.id) or _frozen_rule(layer, state, self.cfg, ups[0].ndim - 1)
+        if kind in ("Dense", "Conv2d") and layer.inputs[0] in self.partial:
+            # the map runs only on the rows that can be non-zero; the others stay zero, as the map of a zero row is
+            fmap, const, _ = rule
+            h, rows = ups[0], self._live_rows(layer.inputs[0], len(ups[0]))
+            live = fmap(h[rows])
+            out = np.zeros((len(h),) + live.shape[1:])
+            out[rows] = live
+            out[-1] += const
+            return out
         return _push(rule, ups[0], self.cfg.epsilon, self.model.modalities + 1)
+
+    def _live_rows(self, lid: str, height: int):
+        """The rows of lid's height-row stack that can be non-zero (see partial), computed once per height.
+
+        They are row j*M+m of each run j for every modality m in lid's support,
+        and the bias row when lid carries a constant; a slice where they are
+        evenly spaced, so that reading them makes no copy. Threads sharing the
+        plan may both fill an entry, with the same value.
+        """
+        if (lid, height) not in self._rows:
+            mods, constant = self.partial[lid]
+            m = self.model.modalities
+            rows = [j * m + i for j in range((height - 1) // m) for i in sorted(mods)]
+            rows += [height - 1] if constant else []
+            step = rows[1] - rows[0] if len(rows) > 1 else 1
+            even = rows == list(range(rows[0], rows[-1] + 1, step))
+            self._rows[lid, height] = slice(rows[0], rows[-1] + 1, step) if even else np.array(rows)
+        return self._rows[lid, height]
 
 
 def _propagate_layers(

@@ -57,6 +57,10 @@ _VECTORS = {
 
 FUSION_KINDS = frozenset({"ConcatFusion", "MatMul"})
 
+# the kinds that are linear in their inputs with no constant term, so that nothing
+# they compute, nor any linearization of it, is non-zero at the zero input
+_HOMOGENEOUS_KINDS = frozenset({"Input", "ConcatFusion", "ResidualAdd"})
+
 
 class ModelError(ValueError):
     """Raised for malformed graphs or serialized model documents."""
@@ -77,6 +81,13 @@ class ModelGraph:
 
     layers must already be topologically ordered: every non-input layer may
     only reference layers that appear before it.
+
+    support[id] is (modalities, constant) for every layer: the modalities
+    upstream of it (an Input's own, else the union of its inputs'), and
+    whether it or a layer upstream of it has a constant term or a non-linear
+    map, so that its activation at the zero input, or the bias component of
+    a linearization, can be non-zero. A layer with partial support sees only
+    its own modalities' inputs.
     """
 
     def __init__(self, layers: list[LayerSpec], output: str, modalities: int):
@@ -87,6 +98,7 @@ class ModelGraph:
         self.modalities = modalities
         self.by_id: dict[str, LayerSpec] = {}
         self.modality_inputs: dict[int, str] = {}
+        self.support: dict[str, tuple[frozenset[int], bool]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -117,6 +129,11 @@ class ModelGraph:
                 if m in self.modality_inputs:
                     raise ModelError(f"modality {m} declared twice ('{layer.id}')")
                 self.modality_inputs[m] = layer.id
+                self.support[layer.id] = (frozenset({m}), False)
+            else:
+                ups = [self.support[i] for i in layer.inputs]
+                constant = layer.kind not in _HOMOGENEOUS_KINDS or any(c for _, c in ups)
+                self.support[layer.id] = (frozenset().union(*(s for s, _ in ups)), constant)
             seen.add(layer.id)
             self.by_id[layer.id] = layer
         if self.output not in self.by_id:

@@ -14,7 +14,7 @@ from math import factorial
 import numpy as np
 
 from .decompose import SplitConfig, _decompose, _Plan, _residual, _splice, _sweep_runs
-from .model import ModelGraph, _check_inputs, forward
+from .model import ModelGraph, _check_inputs, eval_layer
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
 
@@ -83,16 +83,32 @@ def _game(m: int, value):
 def shapley(model: ModelGraph, inputs: dict[int, np.ndarray]) -> Attribution:
     """Exact modality Shapley values of the original (non-linearized) model.
 
-    Enumerates all 2^M coalitions, each a single plain forward pass with the
-    absent modalities zeroed. Guarded to M <= 12.
+    Enumerates all 2^M coalitions, each a plain forward pass with the absent
+    modalities zeroed. A layer that sees only some modalities (see
+    ModelGraph.support) is evaluated once per distinct set of members among
+    them and shared by every coalition that agrees on that set; every other
+    layer is evaluated per coalition and dropped with it. n_forwards counts
+    the coalitions. Guarded to M <= 12.
     """
     _check_size(model.modalities)
     _check_inputs(model, inputs)
     m = model.modalities
     zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
+    shared = {}  # (layer id, the members it sees) -> activation, for the layers with partial support
 
     def value(members):
-        return forward(model, {i: inputs[i] if i in members else zeros[i] for i in range(m)})[model.output]
+        coalition = {i: inputs[i] if i in members else zeros[i] for i in range(m)}
+        acts = {}
+        for layer in model.layers:
+            seen = model.support[layer.id][0]
+            key = (layer.id, seen & members)
+            act = shared.get(key)
+            if act is None:
+                act = eval_layer(layer, [acts[i] for i in layer.inputs], coalition)
+                if len(seen) < m:
+                    shared[key] = act
+            acts[layer.id] = act
+        return acts[model.output]
 
     values, phis = _game(m, value)
     return Attribution(base=values[0], per_modality=phis, n_forwards=1 << m, total=values[(1 << m) - 1])
@@ -112,9 +128,12 @@ def hybrid_shapley(
     coalition zeroed; each modality's Shapley share of that bias mass is
     added to its component. The empty-coalition bias is the base, so
     efficiency holds by construction. The game costs the decomposition's own
-    sweep and one sweep of the zero input through the row-separable prefix;
-    every coalition, empty and full included, then reruns only the layers
-    past the first row-mixing one.
+    sweep; every coalition, empty and full included, then reruns only the
+    layers past the first row-mixing one. Under a 'uniform' bn_rule or
+    ln_rule it also costs one sweep of the zero input through the
+    row-separable prefix; under the other rules that sweep's frontier stacks
+    are zero modality rows and the full run's bias row (the prefix's bias row
+    does not depend on the input), so they are taken from the full run.
 
     method='proportional': a simpler reading that splits the bias elementwise
     in proportion to the component magnitudes.
@@ -142,9 +161,12 @@ def hybrid_shapley(
         return Attribution(base=base, per_modality=per, n_forwards=1, total=total)
 
     # A coalition's run takes its members' rows from the full run and the
-    # rest from the empty run's frontier; _splice reruns only the suffix.
-    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    empty = _sweep_runs(plan, state, [zeros])
+    # rest from the empty run's frontier; _splice reruns only the suffix. Only
+    # a 'uniform' constant puts mass in the empty run's modality rows.
+    if "uniform" in (cfg.bn_rule, cfg.ln_rule):
+        empty = _sweep_runs(plan, state, [{i: np.zeros(model.input_shape(i)) for i in range(m)}])
+    else:
+        empty = {lid: np.concatenate([np.zeros_like(full[lid][:-1]), full[lid][-1:]]) for lid in plan.frontier}
     bias_values, phis = _game(m, lambda members: _splice(plan, state, full, empty, members)[model.output][-1])
     per = {i: out[i] + phis[i] for i in range(m)}
     return Attribution(base=bias_values[0], per_modality=per, n_forwards=1 << m, total=total)

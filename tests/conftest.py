@@ -11,6 +11,7 @@ from modaldecomp import (
     LayerSpec,
     ModelGraph,
     SplitConfig,
+    forward,
     gen_synthetic_model,
     propagate,
     record,
@@ -69,6 +70,17 @@ def full_propagate_hybrid(model, inputs, cfg, state=None):
     phis = _shapley_from_values(bias_values, m)
     per = {i: out.modality(i) + phis[i] for i in range(m)}
     return bias_values[0], per, out.total()
+
+
+def forward_shapley(model, inputs):
+    """The plain coalition game as one plain forward per coalition: (base, per-modality values, total)."""
+    m = model.modalities
+    zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
+    values = {}
+    for mask in range(1 << m):
+        coalition = {i: inputs[i] if mask & (1 << i) else zeros[i] for i in range(m)}
+        values[mask] = forward(model, coalition)[model.output]
+    return values[0], _shapley_from_values(values, m), values[(1 << m) - 1]
 
 
 def count_calls(monkeypatch, modules, names):

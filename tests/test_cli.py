@@ -249,6 +249,20 @@ class TestDecompose:
             blob = (tmp_path / "maps" / f"{label}.pgm").read_bytes()
             assert blob.startswith(b"P5\n1 1\n255\n") and len(blob) == len(b"P5\n1 1\n255\n") + 1
 
+    def test_output_that_is_no_map_writes_nothing(self, tmp_path, capsys):
+        doc = json.loads(save_model(gen_synthetic_model(0, GenSpec(grid=4, channels=3, depth=2))))
+        head = next(l for l in doc["layers"] if l["id"] == doc["output"])
+        head["weight"], head["bias"] = head["weight"] * 2, head["bias"] * 2  # each list twice: two output channels
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        (tmp_path / "s.json").write_bytes(save_samples(gen_sample_set(1, load_model(json.dumps(doc).encode()), 1)))
+        report, maps = tmp_path / "r.json", tmp_path / "maps"
+        argv = ["decompose", "--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.json"),
+                "--out", str(report), "--heatmaps", str(maps)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: heatmap export needs a 2-d map, got shape (2, 4, 4)"]
+        assert not report.exists() and not maps.exists()
+
     def test_csv_heatmaps_round_trip(self, workdir):
         run_cli(
             [

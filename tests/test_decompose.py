@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from modaldecomp import (
     propagate,
     record,
 )
-from modaldecomp.decompose import _chord_ratio, _decompose, _frozen_rule, _input_stack, _Plan
+from modaldecomp.decompose import _chord_ratio, _decompose, _frozen_rule, _input_stack, _Plan, _sweep_runs
 from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
 from conftest import push, scalar_pair_model, small_model
@@ -543,6 +544,107 @@ class TestPlan:
         assert len(plans) == 1
         static = [layer.id for layer in model.layers if layer.kind in ("Dense", "Conv2d", "BatchNorm")]
         assert static and sorted(lid for lid in bound if lid in static) == sorted(static)
+
+
+class TestSupport:
+    """The modality-support table, and the rows that a Dense or Conv2d rule reads from a stack with partial support."""
+
+    def test_support_of_each_layer_kind(self):
+        model = small_model(include_attention=True)
+        assert model.support["in0"] == (frozenset({0}), False)
+        assert model.support["branch0_conv"] == (frozenset({0}), True)  # its bias is a live bias row
+        assert model.support["fuse_concat"] == (frozenset({0, 1}), True)
+        assert model.support["attn_scores"] == (frozenset({0, 1}), True)
+        assert scalar_pair_model().support["cat"] == (frozenset({0, 1}), False)
+        branches = {layer.id for layer in model.layers if layer.id.startswith(("in", "branch"))}
+        assert _Plan(model, SplitConfig()).partial.keys() == branches  # a concat of both branches has every row
+        uniform = _Plan(model, SplitConfig("uniform")).partial
+        assert {"in0", "branch0_conv"} <= uniform.keys() and "branch0_norm" not in uniform
+        assert "branch0_act" not in uniform  # past a 'uniform' constant every row can be non-zero
+        mixing = _Plan(model, SplitConfig(act_rule="sum")).partial
+        assert "branch0_norm" in mixing and "branch0_act" not in mixing
+
+    def test_branch_conv_runs_on_its_modality_rows(self, monkeypatch):
+        """One row in decompose at M=2, and J rows in the protocol's J-run sweep."""
+        engine = sys.modules["modaldecomp.decompose"]
+        model = small_model()
+        weights = {id(layer.params["weight"]): layer.id for layer in model.layers if layer.kind == "Conv2d"}
+        rows, conv2d = {lid: Counter() for lid in weights.values()}, engine.conv2d
+
+        def counted(h, w, *args):
+            rows[weights[id(w)]][len(h)] += 1
+            return conv2d(h, w, *args)
+
+        monkeypatch.setattr(engine, "conv2d", counted)
+        perturbation_protocol(model, gen_sample_set(3, model, 3), mcfg=MetricConfig(stride=1, offset_count=2))
+        assert rows["branch0_conv"] == rows["branch1_conv"] == {1: 3, 2: 3}
+        assert rows["fuse_conv"] == {3: 3, 5: 3}
+
+    @staticmethod
+    def branchy_model():
+        """Three modalities: a two-modality conv branch and a one-modality dense branch, each with a live bias
+        row before its last Dense or Conv2d, and a negative BatchNorm scale and ReLUs that leave -0.0 in the
+        zero rows."""
+        rng = np.random.default_rng(5)
+
+        def conv(c_in, c_out):
+            return {"weight": rng.normal(size=(c_out, c_in, 3, 3)), "bias": rng.normal(size=c_out), "stride": 1, "padding": 1}
+
+        def dense(c_in, c_out):
+            return {"weight": rng.normal(size=(c_out, c_in)), "bias": rng.normal(size=c_out)}
+
+        bn = {"mean": rng.normal(size=3), "var": rng.uniform(0.5, 1, 3), "gamma": -rng.uniform(0.5, 1, 3),
+              "beta": rng.normal(size=3), "eps": 1e-5}
+        layers = [LayerSpec(f"in{m}", "Input", [], {"modality": m, "shape": (2, 5, 5)}) for m in range(3)] + [
+            LayerSpec("ac", "ConcatFusion", ["in0", "in2"], {"axis": 0}),
+            LayerSpec("ac_conv", "Conv2d", ["ac"], conv(4, 3)),
+            LayerSpec("ac_bn", "BatchNorm", ["ac_conv"], bn),
+            LayerSpec("ac_relu", "ReLU", ["ac_bn"], {}),
+            LayerSpec("ac_dense", "Dense", ["ac_relu"], dense(3, 3)),
+            LayerSpec("b_relu", "ReLU", ["in1"], {}),
+            LayerSpec("b_dense", "Dense", ["b_relu"], dense(2, 3)),
+            LayerSpec("b_gelu", "GELU", ["b_dense"], {}),
+            LayerSpec("b_conv", "Conv2d", ["b_gelu"], conv(3, 3)),
+            LayerSpec("cat", "ConcatFusion", ["ac_dense", "b_conv"], {"axis": 0}),
+            LayerSpec("head", "Conv2d", ["cat"], conv(6, 1)),
+        ]
+        return ModelGraph(layers, "head", 3)
+
+    def test_row_index_per_stack_height(self):
+        plan = _Plan(self.branchy_model(), SplitConfig())
+        assert plan._live_rows("in1", 4) == slice(1, 2, 1)  # one run: its own row
+        assert plan._live_rows("in1", 7) == slice(1, 5, 3)  # row j*M+1 of each of two runs
+        assert plan._live_rows("ac", 7).tolist() == [0, 2, 3, 5]
+        assert plan._live_rows("ac_relu", 4).tolist() == [0, 2, 3]  # and the live bias row
+        assert plan._live_rows("b_gelu", 7).tolist() == [1, 4, 6]
+        assert plan.partial.keys() == {lid for lid in plan.model.support if lid not in ("cat", "head")}
+
+    RULES = [f"{bn}-{ln}" for bn in ("identity", "uniform") for ln in ("ratio", "identity", "uniform")]
+
+    @pytest.mark.parametrize("label", RULES + [f"{rules}-{act}" for rules in RULES for act in ("sum", "ratio")])
+    def test_stacks_bit_identical_with_the_table_ignored(self, monkeypatch, label):
+        model = small_model(3, include_attention=True)
+        self.check_table_ignored(monkeypatch, model, gen_sample_set(4, model, 3).samples, label)
+
+    @pytest.mark.parametrize("label", RULES)
+    def test_hand_built_stacks_bit_identical_with_the_table_ignored(self, monkeypatch, label):
+        samples = [{m: np.random.default_rng(k).normal(size=(2, 5, 5)) for m in range(3)} for k in range(3)]
+        self.check_table_ignored(monkeypatch, self.branchy_model(), samples, label)
+
+    @staticmethod
+    def check_table_ignored(monkeypatch, model, samples, label):
+        """Every stack of a decompose and of a J-run sweep has the same bits as with an empty row-support table."""
+        x, *runs = samples
+        plan = _Plan(model, SplitConfig.parse(label))
+        got, state = _decompose(plan, x)
+        swept = _sweep_runs(plan, state, runs)
+        monkeypatch.setattr(plan, "partial", {})
+        want, _ = _decompose(plan, x)
+        assert got.keys() == want.keys()
+        for lid, h in want.items():
+            assert got[lid].tobytes() == h.tobytes(), lid
+        for lid, h in _sweep_runs(plan, state, runs).items():
+            assert swept[lid].tobytes() == h.tobytes(), lid
 
 
 class TestLiveness:

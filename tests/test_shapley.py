@@ -1,5 +1,6 @@
 import copy
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from modaldecomp import (
 )
 from modaldecomp.decompose import _Plan
 
-from conftest import count_calls, full_propagate_hybrid, scalar_pair_model, small_model
+from conftest import count_calls, forward_shapley, full_propagate_hybrid, scalar_pair_model, small_model
 
 
 def test_hand_enumerable_affine_example():
@@ -93,6 +94,37 @@ def test_two_modality_closed_form():
     phi1 = 0.5 * ((v[2] - v[0]) + (v[3] - v[1]))
     assert np.allclose(attr.per_modality[0], phi0, rtol=1e-12, atol=1e-12)
     assert np.allclose(attr.per_modality[1], phi1, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize("modalities", [1, 2, 3, 4])
+def test_bit_identical_to_plain_forwards(modalities, attention):
+    model = small_model(3, modalities=modalities, include_attention=attention)
+    x = gen_sample_set(8, model, 1)[0]
+    attr = shapley(model, x)
+    base, per, total = forward_shapley(model, x)
+    assert np.array_equal(attr.base, base)
+    assert np.array_equal(attr.total, total)
+    for m in range(modalities):
+        assert np.array_equal(attr.per_modality[m], per[m])
+    assert attr.n_forwards == 1 << modalities
+
+
+def test_branch_layers_shared_across_coalitions(monkeypatch):
+    """A layer that sees one modality runs with and without it; a layer past the fusion runs per coalition."""
+    model = small_model(modalities=3, include_attention=True)
+    shapley_module = sys.modules["modaldecomp.shapley"]
+    runs, eval_layer = Counter(), shapley_module.eval_layer
+
+    def counted(layer, *args):
+        runs[layer.id] += 1
+        return eval_layer(layer, *args)
+
+    monkeypatch.setattr(shapley_module, "eval_layer", counted)
+    shapley(model, gen_sample_set(2, model, 1)[0])
+    branch = {layer.id for layer in model.layers if layer.id.startswith(("in", "branch"))}
+    assert len(branch) == 12
+    assert runs == {layer.id: 2 if layer.id in branch else 8 for layer in model.layers}
 
 
 def test_modality_guard():
@@ -216,18 +248,22 @@ class TestCoalitionSharing:
                 assert attr.n_forwards == 1 << model.modalities
 
     def test_one_decompose_one_prefix_sweep_and_a_splice_per_coalition(self, monkeypatch):
-        """One full sweep, the empty run a prefix sweep and every coalition a splice; a given state is only read."""
+        """One full sweep, every coalition a splice, and the empty run a prefix sweep only under a 'uniform'
+        rule (else it is read off the full run); a given state is only read."""
         model = small_model(modalities=4, include_attention=True)
         x, y = gen_sample_set(5, model, 2).samples
         state = record(model, x)
         before = {lid: dict(cache) for lid, cache in state.caches.items()}
         names = ("_decompose", "_sweep_runs", "_splice")
         counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.shapley"), names)
-        hybrid_shapley(model, x)
-        assert counts == {"_decompose": 1, "_sweep_runs": 1, "_splice": 16}
-        counts.update(dict.fromkeys(names, 0))
+        for cfg, sweeps in ((SplitConfig(), 0), (SplitConfig("uniform", "ratio"), 1)):
+            counts.update(dict.fromkeys(names, 0))
+            hybrid_shapley(model, x, cfg)
+            assert counts == {"_decompose": 1, "_sweep_runs": sweeps, "_splice": 16}
+            counts.update(dict.fromkeys(names, 0))
+            hybrid_shapley(model, y, cfg, state=state)
+            assert counts == {"_decompose": 1, "_sweep_runs": sweeps, "_splice": 16}
         attr = hybrid_shapley(model, y, state=state)
-        assert counts == {"_decompose": 1, "_sweep_runs": 1, "_splice": 16}
         # y pushed through x's linearization, not a fresh one, and no cache added or replaced
         assert np.array_equal(attr.total, propagate(model, state, y)[model.output].total())
         assert not np.array_equal(attr.total, decompose(model, y).output.total())
