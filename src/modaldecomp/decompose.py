@@ -27,6 +27,12 @@ bias row once a constant or a non-linear layer lies upstream (the model's
 support table, which the plan reads). A Dense or Conv2d rule on such a stack
 runs its map on those rows alone and leaves the others zero.
 
+A modality row reads only its own rows unless a suffix layer re-routes (a
+ReLU/GELU under an act_rule): every other frozen rule maps each row alone,
+and only the bias row takes the cross-modality terms of a MatMul. So a run
+that splices rows of two reference runs has their modality rows, and only
+its bias row needs pushing (_splice_bias).
+
 A sweep can carry J runs under one recorded state in a (J*M+1, *map) stack:
 row j*M+m holds run j's modality m and the last row is the bias row. Over
 the row-separable prefix (see _Plan) the bias row is the same in every run,
@@ -353,10 +359,23 @@ def lin_matmul(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) -> np.nd
     """
     if a.shape[0] != b.shape[0]:
         raise ValueError("matmul operands disagree on modality count")
-    total = matmul_pair(a.sum(axis=0), b.sum(axis=0), transpose_b)
+    total = matmul_pair(_rowsum(a), _rowsum(b), transpose_b)
     right = np.swapaxes(b[:-1], -1, -2) if transpose_b else b[:-1]
     mods = np.matmul(a[:-1], right)
-    return np.concatenate([mods, (total - mods.sum(axis=0))[None]])
+    return np.concatenate([mods, (total - _rowsum(mods))[None]])
+
+
+def _rowsum(rows) -> np.ndarray:
+    """The sum of rows (a stack or a list of equal-shape arrays), added in order onto +0.0.
+
+    This is how numpy sums a stack of maps of two or more entries over axis
+    0, and a sum over rows gathered from several stacks keeps the bits of the
+    same rows summed as one stack.
+    """
+    total = rows[0] + 0.0  # +0.0 first, so that a sum of -0.0 rows reads +0.0
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 # --- single-input rules on a DecomposedTensor (uncalled; kept while perfbench traces them) ---
@@ -422,6 +441,9 @@ class _Plan:
       of a stack is therefore the same whatever the other rows hold;
     - frontier, the prefix stacks that the suffix reads, plus a separable
       output;
+    - reroutes, whether a suffix layer moves bias mass into the modality
+      rows (a ReLU/GELU under an act_rule); unless one does, the suffix too
+      computes each modality row from that row alone (see _splice_bias);
     - frees, the liveness table: frees[lid] lists the stacks whose last
       reader is layer lid, and a layer nothing reads frees its own;
     - partial, the row-support table: lid's model.support entry (its
@@ -441,6 +463,7 @@ class _Plan:
             )
         self.model, self.cfg = model, cfg
         self.rules, self.prefix, self.suffix, self.frontier = {}, [], [], set()
+        self.reroutes = cfg.act_rule != "none" and any(layer.kind in _ACT_RULE_KINDS for layer in model.layers)
         self.partial, self._rows = {}, {}
         rank, separable, last_reader = {}, set(), {}
         every_row = (frozenset(range(model.modalities)), True)
@@ -578,6 +601,31 @@ def _splice(
         # a view of run's M rows and the next row, which keep never takes
         comp[lid] = np.where(keep, take[lid][run * m : run * m + m + 1], rest[lid])
     return _propagate_layers(plan, plan.suffix, state, None, comp)
+
+
+def _splice_bias(
+    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members
+) -> np.ndarray:
+    """The output's bias row of _splice(plan, state, take, rest, members), pushing only bias rows.
+
+    take and rest hold the frontier and suffix stacks of two (M+1)-row runs,
+    and the suffix must not re-route (plan.reroutes). Row m of every spliced
+    stack is then take's for a member and rest's for any other, so each
+    suffix layer gets the bias row alone, as a 1-row stack, from
+    _Plan.step. A MatMul's bias row is the product of its spliced operands'
+    row sums less the sum of the spliced product rows, summed as lin_matmul
+    sums them (_rowsum), so its bits are kept.
+    """
+    src = [take if i in members else rest for i in range(plan.model.modalities)]
+    bias = {lid: rest[lid][-1:] for lid in plan.frontier}
+    for layer in plan.suffix:
+        if layer.kind != "MatMul":
+            bias[layer.id] = plan.step(layer, [bias[i] for i in layer.inputs], state, None, False)
+            continue
+        a, b = ([*(run[i][m] for m, run in enumerate(src)), bias[i][0]] for i in layer.inputs)
+        total = matmul_pair(_rowsum(a), _rowsum(b), layer.params.get("transpose_b", False))
+        bias[layer.id] = (total - _rowsum([run[layer.id][m] for m, run in enumerate(src)]))[None]
+    return bias[plan.model.output][0]
 
 
 def _sweep_runs(plan: _Plan, state: RecordedState, runs: list[dict[int, np.ndarray]]) -> dict[str, np.ndarray]:

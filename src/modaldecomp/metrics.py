@@ -176,12 +176,16 @@ def perturbation_protocol(
     and reused for every replacement, so an unperturbed modality's component
     is reproduced bit for bit when the splitting rules do not mix components.
     Per sample, one stacked sweep of the separable prefix runs all the
-    offsets' replacement samples at once (see decompose._sweep_runs); per
-    offset, each perturbation set's run is spliced from that offset's run
-    of the sweep and the clean run (see decompose._splice), and one stacked
-    call scores all the offset's (set, modality) pairs. Degenerate pairs (a
-    constant or non-finite map) are counted per cell and excluded from the
-    Pearson aggregate rather than silently averaged.
+    offsets' replacement samples at once (see decompose._sweep_runs). Per
+    offset, one run is spliced with every modality taken from that offset's
+    run of the sweep (see decompose._splice); a perturbation set's run then
+    has the members' output rows of that splice and the other rows of the
+    clean run, since no modality row reads another. When a suffix layer
+    re-routes bias mass (an act_rule), each (offset, set) run is spliced
+    instead. One stacked call scores all the sample's (offset, set,
+    modality) pairs. Degenerate pairs (a constant or non-finite map) are
+    counted per cell and excluded from the Pearson aggregate rather than
+    silently averaged.
     """
     cfg = cfg or SplitConfig()
     mcfg = mcfg or MetricConfig()
@@ -197,23 +201,26 @@ def perturbation_protocol(
             if p not in model.modality_inputs:
                 raise ValueError(f"unknown modality {p} in perturbation set")
     plan = _Plan(model, cfg)
+    # (sets, M, 1): whether a set replaces the modality of an output row
+    member = np.array([[o in pset for o in modalities] for pset in perturb_sets])[..., None]
 
     def one_sample(k: int) -> tuple[np.ndarray, ...]:
-        # the splices read only the frontier stacks, the scores only the clean output
+        # (offsets, sets, M) scores of the sample's replacement runs, from one stacked call
         comp, state = _decompose(plan, samples[k], keep=plan.frontier | {model.output})
         clean_rows = comp[model.output][:-1].reshape(n_mod, -1)  # (M, entries)
         runs = [samples[(k + stride * j) % n] for j in range(1, mcfg.offset_count + 1)]
         replaced = _sweep_runs(plan, state, runs)
-
-        def one_offset(j: int) -> tuple[np.ndarray, ...]:
-            # (sets, M) scores of runs[j]: its splices from run j of the stacked sweep and the clean run
-            outs = [_splice(plan, state, replaced, comp, p, j)[model.output][:-1] for p in perturb_sets]
-            a, b = clean_rows, np.stack(outs).reshape(-1, *clean_rows.shape)
-            if mcfg.positive_parts:
-                a, b = _max_positive(a, -1), _max_positive(b, -1)
-            return (*_pearson(a, b), ((a - b) ** 2).mean(-1))
-
-        return tuple(map(np.stack, zip(*map(one_offset, range(len(runs))))))
+        # unless the suffix re-routes, a set's run has the all-modalities splice's rows of its
+        # members and the clean run's other rows, so each offset is spliced once
+        sets = perturb_sets if plan.reroutes else [modalities]
+        outs = [_splice(plan, state, replaced, comp, p, j)[model.output][:-1] for j in range(len(runs)) for p in sets]
+        b = np.reshape(outs, (len(runs), len(sets)) + clean_rows.shape)
+        if not plan.reroutes:
+            b = np.where(member, b, clean_rows)
+        a = clean_rows
+        if mcfg.positive_parts:
+            a, b = _max_positive(a, -1), _max_positive(b, -1)
+        return (*_pearson(a, b), ((a - b) ** 2).mean(-1))
 
     def mean_std(x: np.ndarray) -> tuple[float, float]:
         return (float(x.mean()), float(x.std())) if x.size else (0.0, 0.0)

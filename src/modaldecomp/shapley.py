@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _residual, _splice, _sweep_runs
+from .decompose import SplitConfig, _decompose, _Plan, _residual, _splice, _splice_bias, _sweep_runs
 from .model import ModelGraph, _check_inputs, eval_layer
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -85,29 +85,45 @@ def shapley(model: ModelGraph, inputs: dict[int, np.ndarray]) -> Attribution:
 
     Enumerates all 2^M coalitions, each a plain forward pass with the absent
     modalities zeroed. A layer that sees only some modalities (see
-    ModelGraph.support) is evaluated once per distinct set of members among
-    them and shared by every coalition that agrees on that set; every other
-    layer is evaluated per coalition and dropped with it. n_forwards counts
-    the coalitions. Guarded to M <= 12.
+    ModelGraph.support) has one value per distinct set of members among
+    them. Where a layer that sees every modality (or the output) reads it,
+    that value is kept and shared by every coalition that agrees on the set;
+    the layers upstream of it run only while one of those kept values is
+    missing. Every other layer is evaluated per coalition and dropped after
+    its last reader. n_forwards counts the coalitions. Guarded to M <= 12.
     """
     _check_size(model.modalities)
     _check_inputs(model, inputs)
     m = model.modalities
     zeros = {i: np.zeros(model.input_shape(i)) for i in range(m)}
-    shared = {}  # (layer id, the members it sees) -> activation, for the layers with partial support
+    support = {lid: seen for lid, (seen, _) in model.support.items()}
+    partial = {lid for lid, seen in support.items() if len(seen) < m}
+    # the partial layers whose values are kept: those that a full-support layer or the output reads
+    kept = partial & {model.output}.union(*(layer.inputs for layer in model.layers if layer.id not in partial))
+    feeds = {lid: {lid} & kept for lid in partial}  # the kept layers that lid reaches through partial layers
+    for layer in reversed(model.layers):
+        if layer.id in partial:
+            for i in layer.inputs:
+                feeds[i] |= feeds[layer.id]
+    shared = {}  # (kept layer id, the members it sees) -> activation
+    last = {i: layer.id for layer in model.layers for i in layer.inputs}
+    last.pop(model.output, None)  # the output is returned, not dropped
+    # frees[lid]: the values a coalition drops once lid has run, its inputs that no later layer reads
+    frees = {layer.id: [i for i in dict.fromkeys(layer.inputs) if last.get(i) == layer.id] for layer in model.layers}
 
     def value(members):
         coalition = {i: inputs[i] if i in members else zeros[i] for i in range(m)}
         acts = {}
         for layer in model.layers:
-            seen = model.support[layer.id][0]
-            key = (layer.id, seen & members)
-            act = shared.get(key)
-            if act is None:
-                act = eval_layer(layer, [acts[i] for i in layer.inputs], coalition)
-                if len(seen) < m:
-                    shared[key] = act
-            acts[layer.id] = act
+            key = (layer.id, support[layer.id] & members)
+            if key in shared:
+                acts[layer.id] = shared[key]
+            elif layer.id not in partial or any((k, support[k] & members) not in shared for k in feeds[layer.id]):
+                acts[layer.id] = eval_layer(layer, [acts[i] for i in layer.inputs], coalition)
+                if layer.id in kept:
+                    shared[key] = acts[layer.id]
+            for i in frees[layer.id]:
+                acts.pop(i, None)  # a partial layer that did not run has no value
         return acts[model.output]
 
     values, phis = _game(m, value)
@@ -123,17 +139,22 @@ def hybrid_shapley(
 ) -> Attribution:
     """Decompose, then redistribute the bias component onto the modalities.
 
-    method='shapley': play the coalition game on the linearized network
-    whose value is the bias component produced with modalities outside the
-    coalition zeroed; each modality's Shapley share of that bias mass is
-    added to its component. The empty-coalition bias is the base, so
-    efficiency holds by construction. The game costs the decomposition's own
-    sweep; every coalition, empty and full included, then reruns only the
-    layers past the first row-mixing one. Under a 'uniform' bn_rule or
-    ln_rule it also costs one sweep of the zero input through the
-    row-separable prefix; under the other rules that sweep's frontier stacks
-    are zero modality rows and the full run's bias row (the prefix's bias row
-    does not depend on the input), so they are taken from the full run.
+    method='shapley': play the coalition game on the linearized network whose
+    value is the bias component produced with modalities outside the coalition
+    zeroed; each modality's Shapley share of that bias mass is added to its
+    component. The empty-coalition bias is the base, so efficiency holds by
+    construction. The game costs the decomposition's own sweep, which keeps
+    only the stacks that the layers past the first row-mixing one read or
+    form, and one run of the empty coalition through those layers. Unless one
+    of those re-routes bias mass (an act_rule), a coalition's modality rows
+    there are the full run's for its members and the empty run's for the
+    others, so every coalition, empty and full included, pushes only its bias
+    row through them (see decompose._splice_bias); under an act_rule each
+    coalition reruns them whole. Under a 'uniform' bn_rule or ln_rule the
+    empty run also costs one sweep of the zero input through the row-separable
+    prefix; under the other rules that sweep's frontier stacks are zero
+    modality rows and the full run's bias row (the prefix's bias row does not
+    depend on the input), so they are taken from the full run.
 
     method='proportional': a simpler reading that splits the bias elementwise
     in proportion to the component magnitudes.
@@ -148,7 +169,7 @@ def hybrid_shapley(
     if method not in ("shapley", "proportional"):
         raise ValueError(f"unknown redistribution method '{method}'")
     plan = _Plan(model, cfg)
-    full, state = _decompose(plan, inputs, state=state)
+    full, state = _decompose(plan, inputs, state=state, keep=plan.frontier.union(layer.id for layer in plan.suffix))
     out = full[model.output]
     h_bias, total = out[-1], out.sum(axis=0)
 
@@ -161,12 +182,16 @@ def hybrid_shapley(
         return Attribution(base=base, per_modality=per, n_forwards=1, total=total)
 
     # A coalition's run takes its members' rows from the full run and the
-    # rest from the empty run's frontier; _splice reruns only the suffix. Only
-    # a 'uniform' constant puts mass in the empty run's modality rows.
+    # rest from the empty run; only a 'uniform' constant puts mass in the
+    # empty run's modality rows.
     if "uniform" in (cfg.bn_rule, cfg.ln_rule):
         empty = _sweep_runs(plan, state, [{i: np.zeros(model.input_shape(i)) for i in range(m)}])
     else:
         empty = {lid: np.concatenate([np.zeros_like(full[lid][:-1]), full[lid][-1:]]) for lid in plan.frontier}
-    bias_values, phis = _game(m, lambda members: _splice(plan, state, full, empty, members)[model.output][-1])
+    if plan.reroutes:
+        bias_values, phis = _game(m, lambda members: _splice(plan, state, full, empty, members)[model.output][-1])
+    else:
+        empty = _splice(plan, state, full, empty, set())  # the empty run's suffix stacks too
+        bias_values, phis = _game(m, lambda members: _splice_bias(plan, state, full, empty, members))
     per = {i: out[i] + phis[i] for i in range(m)}
     return Attribution(base=bias_values[0], per_modality=per, n_forwards=1 << m, total=total)

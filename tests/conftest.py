@@ -56,6 +56,54 @@ def scalar_pair_model(w0=2.0, w1=3.0, bias=1.0):
     return ModelGraph(layers, "head", 2)
 
 
+def every_kind_suffix_model(modalities, seed=3):
+    """A hand-built net on (2, 4, 4) maps whose suffix, after a first MatMul, holds every layer kind.
+
+    Each modality's Conv2d branch is concatenated and mapped by three Dense
+    layers to q, k and v; MatMul(q, k^T) starts the suffix: Dense, Conv2d,
+    BatchNorm, LayerNorm, InstanceNorm, ReLU, GELU, Softmax, a ConcatFusion,
+    a Dense, a ResidualAdd onto the BatchNorm, and a second MatMul with v.
+    """
+    rng = np.random.default_rng(seed)
+
+    def conv(lid, src, c_in):
+        w = rng.uniform(-0.5, 0.5, (2, c_in, 3, 3))
+        return LayerSpec(lid, "Conv2d", [src], {"weight": w, "bias": rng.normal(size=2), "stride": 1, "padding": 1})
+
+    def dense(lid, src, c_in):
+        return LayerSpec(lid, "Dense", [src], {"weight": rng.uniform(-0.7, 0.7, (2, c_in)), "bias": rng.normal(size=2)})
+
+    def vectors(*names, shape=(2,)):
+        return {name: rng.uniform(0.5, 1.5, shape) if name in ("gamma", "var") else rng.normal(size=shape)
+                for name in names}
+
+    layers = []
+    for m in range(modalities):
+        layers.append(LayerSpec(f"in{m}", "Input", [], {"modality": m, "shape": (2, 4, 4)}))
+        layers.append(conv(f"branch{m}", f"in{m}", 2))
+    c = 2 * modalities
+    layers += [
+        LayerSpec("cat", "ConcatFusion", [f"branch{m}" for m in range(modalities)], {"axis": 0}),
+        dense("q", "cat", c),
+        dense("k", "cat", c),
+        dense("v", "cat", c),
+        LayerSpec("scores", "MatMul", ["q", "k"], {"transpose_b": True}),
+        dense("mix", "scores", 2),
+        conv("conv", "mix", 2),
+        LayerSpec("bn", "BatchNorm", ["conv"], {**vectors("mean", "var", "gamma", "beta"), "eps": 1e-5}),
+        LayerSpec("ln", "LayerNorm", ["bn"], {"axes": (1, 2), **vectors("gamma", "beta", shape=(4, 4)), "eps": 1e-5}),
+        LayerSpec("inorm", "InstanceNorm", ["ln"], {**vectors("gamma", "beta"), "eps": 1e-5}),
+        LayerSpec("relu", "ReLU", ["inorm"]),
+        LayerSpec("gelu", "GELU", ["relu"]),
+        LayerSpec("softmax", "Softmax", ["gelu"], {"axis": -1}),
+        LayerSpec("cat2", "ConcatFusion", ["softmax", "relu"], {"axis": 0}),
+        dense("mix2", "cat2", 4),
+        LayerSpec("res", "ResidualAdd", ["mix2", "bn"]),
+        LayerSpec("out", "MatMul", ["res", "v"]),
+    ]
+    return ModelGraph(layers, "out", modalities)
+
+
 def full_propagate_hybrid(model, inputs, cfg, state=None):
     """The hybrid coalition game as one full propagate per coalition."""
     m = model.modalities

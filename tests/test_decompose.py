@@ -26,7 +26,15 @@ from modaldecomp import (
     propagate,
     record,
 )
-from modaldecomp.decompose import _chord_ratio, _decompose, _frozen_rule, _input_stack, _Plan, _sweep_runs
+from modaldecomp.decompose import (
+    _chord_ratio,
+    _decompose,
+    _frozen_rule,
+    _input_stack,
+    _Plan,
+    _rowsum,
+    _sweep_runs,
+)
 from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
 from conftest import push, scalar_pair_model, small_model
@@ -343,6 +351,16 @@ class TestMatMulRule:
         mods = [matmul_pair(a.parts[m], b.parts[m], transpose_b) for m in range(rows - 1)]
         bias = matmul_pair(a.total(), b.total(), transpose_b) - sum(mods)
         assert np.array_equal(out.parts, np.stack(mods + [bias]))
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 7), (2, 4, 5)])
+    @pytest.mark.parametrize("rows", [2, 3, 5, 9])
+    def test_row_sum_keeps_the_bits_of_a_stack_sum(self, rng, rows, shape):
+        """Rows summed as a stack or gathered as a list read as numpy's sum over axis 0, -0.0 included."""
+        stack = rng.normal(size=(rows,) + shape) * 10.0 ** rng.integers(-8, 9, size=(rows,) + shape)
+        stack[:, 0] = -0.0  # numpy sums onto +0.0, so negative zeros sum to +0.0
+        want = stack.sum(axis=0).tobytes()
+        assert _rowsum(stack).tobytes() == want
+        assert _rowsum(list(stack)).tobytes() == want
 
     def test_distributivity_exact(self, rng):
         a = DecomposedTensor(rng.normal(size=(3, 4, 5)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from modaldecomp import (
     CellStats,
+    DecomposedTensor,
     DecompositionError,
     MetricConfig,
     SeparationReport,
@@ -26,11 +27,11 @@ from modaldecomp import (
     report_to_json,
     variant_matrix,
 )
-from modaldecomp.decompose import _Plan
+from modaldecomp.decompose import _Plan, _splice, _sweep_runs
 from modaldecomp.heatmap import normalize_map
 from modaldecomp.metrics import _pearson
 
-from conftest import count_calls, small_model
+from conftest import count_calls, every_kind_suffix_model, small_model
 
 
 def dead_branch1_model():
@@ -210,8 +211,14 @@ class TestMetricConfig:
             perturbation_protocol(model, samples)
 
 
-def one_propagate_per_replacement(model, samples, cfg, mcfg):
-    """The protocol as one full propagate per (perturbation set, offset) pair."""
+def one_propagate_per_replacement(model, samples, cfg, mcfg, splice=False):
+    """The protocol as one full propagate per (perturbation set, offset) pair.
+
+    With splice, each pair's output is instead one _splice of the replacement
+    sample's prefix sweep and the clean run, taking the set's rows from the
+    replacement.
+    """
+    plan = _Plan(model, cfg)
     n = samples.n
     stride = mcfg.resolve_stride(n)
     modalities = sorted(model.modality_inputs)
@@ -226,7 +233,12 @@ def one_propagate_per_replacement(model, samples, cfg, mcfg):
                 pert_inputs = dict(inputs)
                 for p in pset:
                     pert_inputs[p] = src[p]
-                pert = propagate(model, res.state, pert_inputs, cfg)[model.output]
+                if splice:
+                    clean = {lid: d.parts for lid, d in res.components.items()}
+                    take = _sweep_runs(plan, res.state, [src])
+                    pert = DecomposedTensor(_splice(plan, res.state, take, clean, set(pset))[model.output])
+                else:
+                    pert = propagate(model, res.state, pert_inputs, cfg)[model.output]
                 for o in modalities:
                     a, b = res.output.modality(o), pert.modality(o)
                     if mcfg.positive_parts:
@@ -358,6 +370,32 @@ class TestProtocol:
             decompose(model, samples[0])
         with pytest.raises(DecompositionError, match=msg):
             perturbation_protocol(model, samples)
+
+    @pytest.mark.parametrize("modalities", [2, 3])
+    def test_row_selection_matches_a_splice_per_replacement(self, modalities):
+        """With every layer kind in the suffix, a set's rows taken from its offset's one splice keep the report's bytes."""
+        model = every_kind_suffix_model(modalities)
+        samples = gen_sample_set(11, model, 4)
+        perturbed = ((0,), (1,), (0, 2), (1, 2)) if modalities == 3 else None
+        mcfg = MetricConfig(stride=1, offset_count=2, perturbed=perturbed)
+        labels = [f"{bn}-{ln}" for bn in ("identity", "uniform") for ln in ("ratio", "identity", "uniform")]
+        for label in labels + (["identity-ratio-sum", "uniform-identity-ratio"] if modalities == 2 else []):
+            cfg = SplitConfig.parse(label)
+            got = perturbation_protocol(model, samples, cfg, mcfg)
+            want = one_propagate_per_replacement(model, samples, cfg, mcfg, splice=True)
+            assert report_to_json([got]) == report_to_json([want]), label
+
+    def test_one_splice_per_offset_unless_the_suffix_reroutes(self, monkeypatch):
+        """Without an act_rule each offset is spliced once; under 'sum' a suffix ReLU mixes rows, so each
+        (offset, set) run is spliced."""
+        counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_splice",))
+        model = small_model(include_attention=True)
+        samples, mcfg = gen_sample_set(5, model, 4), MetricConfig(stride=1, offset_count=3)
+        # 4 samples, 3 offsets, and 2 perturbation sets under 'sum'
+        for label, splices in (("identity-ratio", 12), ("uniform-identity", 12), ("identity-ratio-sum", 24)):
+            counts["_splice"] = 0
+            perturbation_protocol(model, samples, SplitConfig.parse(label), mcfg)
+            assert counts == {"_splice": splices}, label
 
     def test_one_decompose_and_one_stacked_sweep_per_sample(self, monkeypatch):
         """A separable model's replacement runs are one prefix sweep per sample, with no full propagate."""

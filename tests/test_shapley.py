@@ -1,17 +1,20 @@
 import copy
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from modaldecomp import (
+    GenSpec,
     ModelError,
     ModelGraph,
     SplitConfig,
     decompose,
     forward,
     gen_sample_set,
+    gen_synthetic_model,
     hybrid_shapley,
     pearson,
     propagate,
@@ -20,7 +23,14 @@ from modaldecomp import (
 )
 from modaldecomp.decompose import _Plan
 
-from conftest import count_calls, forward_shapley, full_propagate_hybrid, scalar_pair_model, small_model
+from conftest import (
+    count_calls,
+    every_kind_suffix_model,
+    forward_shapley,
+    full_propagate_hybrid,
+    scalar_pair_model,
+    small_model,
+)
 
 
 def test_hand_enumerable_affine_example():
@@ -125,6 +135,30 @@ def test_branch_layers_shared_across_coalitions(monkeypatch):
     branch = {layer.id for layer in model.layers if layer.id.startswith(("in", "branch"))}
     assert len(branch) == 12
     assert runs == {layer.id: 2 if layer.id in branch else 8 for layer in model.layers}
+
+
+@pytest.mark.parametrize(
+    "attribute, bound_mib",
+    [
+        # a branch value is 64 KiB: the 8 kept ones take 0.5 MiB, all 24 branch Conv2d, BatchNorm and ReLU
+        # values 1.5 MiB; a coalition's values live until their last reader (1.11 MiB in all, 3.11 keeping
+        # all 24 and every value of the coalition)
+        (shapley, 1.5),
+        # the sweep keeps the frontier and suffix stacks, 5 rows of 64 KiB each, not all 35 (6.1 MiB against 15.3)
+        (hybrid_shapley, 8.0),
+    ],
+)
+def test_peak_on_the_attention_m4_model(attribute, bound_mib):
+    """Only what later steps read is kept: the branch outputs in shapley, the stacks from the frontier on in the hybrid."""
+    model = gen_synthetic_model(531, GenSpec(modalities=4, include_attention=True))
+    x = gen_sample_set(531, model, 1)[0]
+    tracemalloc.start()
+    try:
+        attribute(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_modality_guard():
@@ -247,22 +281,60 @@ class TestCoalitionSharing:
                     assert np.array_equal(attr.per_modality[m], per[m])
                 assert attr.n_forwards == 1 << model.modalities
 
+    @pytest.mark.parametrize("modalities", [2, 3])
+    def test_bit_identical_with_every_kind_in_the_suffix(self, modalities):
+        """Each coalition's bias row pushed alone keeps the bits of a full propagate, signs of zero included."""
+        model = every_kind_suffix_model(modalities)
+        suffix = [layer.kind for layer in _Plan(model, SplitConfig()).suffix]
+        assert suffix[0] == suffix[-1] == "MatMul" and len(set(suffix)) == 11
+        x, y = gen_sample_set(11, model, 2).samples
+        labels = [f"{bn}-{ln}" for bn in ("identity", "uniform") for ln in ("ratio", "identity", "uniform")]
+        for label in labels + (["identity-ratio-sum", "uniform-identity-ratio"] if modalities == 2 else []):
+            cfg = SplitConfig.parse(label)
+            state = record(model, x, cfg)
+            for inputs, st in ((x, None), (y, state)):
+                attr = hybrid_shapley(model, inputs, cfg, state=st)
+                base, per, total = full_propagate_hybrid(model, inputs, cfg, st)
+                assert attr.base.tobytes() == base.tobytes(), label
+                assert attr.total.tobytes() == total.tobytes(), label
+                for m in range(modalities):
+                    assert attr.per_modality[m].tobytes() == per[m].tobytes(), label
+
     def test_one_decompose_one_prefix_sweep_and_a_splice_per_coalition(self, monkeypatch):
-        """One full sweep, every coalition a splice, and the empty run a prefix sweep only under a 'uniform'
-        rule (else it is read off the full run); a given state is only read."""
+        """One full sweep and one whole-stack splice (the empty coalition); every coalition then pushes 1-row
+        stacks through the suffix. The empty run costs a prefix sweep only under a 'uniform' rule (else it is
+        read off the full run), and a given state is only read."""
         model = small_model(modalities=4, include_attention=True)
         x, y = gen_sample_set(5, model, 2).samples
         state = record(model, x)
         before = {lid: dict(cache) for lid, cache in state.caches.items()}
         names = ("_decompose", "_sweep_runs", "_splice")
         counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.shapley"), names)
+        heights, step = Counter(), _Plan.step
+
+        def counted_step(plan, layer, ups, *args):
+            heights[layer.id, len(ups[0]) if ups else 0] += 1
+            return step(plan, layer, ups, *args)
+
+        monkeypatch.setattr(_Plan, "step", counted_step)
+        # the full sweep and the empty coalition's splice push 5 rows; the 16 coalitions push the bias row
+        # alone through every suffix layer but the MatMuls, whose bias rows are formed from the stored rows
+        suffix = {("attn_scores", 5): 2, ("attn_softmax", 5): 2, ("attn_out", 5): 2, ("head", 5): 2}
+        suffix.update({("attn_softmax", 1): 16, ("head", 1): 16})
         for cfg, sweeps in ((SplitConfig(), 0), (SplitConfig("uniform", "ratio"), 1)):
-            counts.update(dict.fromkeys(names, 0))
-            hybrid_shapley(model, x, cfg)
-            assert counts == {"_decompose": 1, "_sweep_runs": sweeps, "_splice": 16}
-            counts.update(dict.fromkeys(names, 0))
-            hybrid_shapley(model, y, cfg, state=state)
-            assert counts == {"_decompose": 1, "_sweep_runs": sweeps, "_splice": 16}
+            for st, inputs in ((None, x), (state, y)):
+                counts.update(dict.fromkeys(names, 0))
+                heights.clear()
+                hybrid_shapley(model, inputs, cfg, state=st)
+                assert counts == {"_decompose": 1, "_sweep_runs": sweeps, "_splice": 1}
+                assert {key: n for key, n in heights.items() if key[0] in {lid for lid, _ in suffix}} == suffix
+        # under act_rule 'sum' a suffix ReLU re-routes bias mass, so every coalition is a whole-stack splice
+        pair = small_model(modalities=2)
+        counts.update(dict.fromkeys(names, 0))
+        heights.clear()
+        hybrid_shapley(pair, gen_sample_set(5, pair, 1)[0], SplitConfig(act_rule="sum"))
+        assert counts == {"_decompose": 1, "_sweep_runs": 0, "_splice": 4}
+        assert all(rows == 3 for _, rows in heights if rows)
         attr = hybrid_shapley(model, y, state=state)
         # y pushed through x's linearization, not a fresh one, and no cache added or replaced
         assert np.array_equal(attr.total, propagate(model, state, y)[model.output].total())
