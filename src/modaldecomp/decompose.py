@@ -220,8 +220,10 @@ def _chord_ratio(pre: np.ndarray, out: np.ndarray, eps: float):
     reproduces the recorded output exactly.
     """
     safe = np.abs(pre) > 10.0 * eps
-    c = np.zeros_like(pre)
-    np.divide(out, pre + eps, out=c, where=safe)
+    c = pre + eps
+    with np.errstate(divide="ignore", invalid="ignore"):  # the guarded entries are zeroed below
+        np.divide(out, c, out=c)
+    c[~safe] = 0.0
     r = out - c * pre
     return c, r
 
@@ -270,8 +272,7 @@ def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig
 
         return dense, channel_shape(p["bias"], nd), "identity"
     if kind == "Conv2d":
-        zero = np.zeros_like(p["bias"])
-        conv = lambda s: conv2d(s, p["weight"], zero, p["stride"], p["padding"])  # noqa: E731
+        conv = lambda s: conv2d(s, p["weight"], None, p["stride"], p["padding"])  # noqa: E731
         return conv, channel_shape(p["bias"], nd), "identity"
     if kind in _ACTIVATION_KINDS:
         cache = state.caches[layer.id]
@@ -575,7 +576,7 @@ def _propagate_layers(
 def _check_finite(layer: LayerSpec, h: np.ndarray, observe=None) -> None:
     """Raise DecompositionError if layer's total (the sum of its stack h) is not finite; else observe(layer, total)."""
     total = h.sum(axis=0)
-    if not np.all(np.isfinite(total)):
+    if not np.isfinite(total).all():
         raise DecompositionError(f"non-finite activation in layer '{layer.id}'")
     if observe is not None:
         observe(layer, total)

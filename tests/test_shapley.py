@@ -264,6 +264,7 @@ class TestCoalitionSharing:
                     "uniform-identity-ratio",
                 ],
             ),
+            (dict(grid=64, channels=16), ["identity-ratio"]),  # every 3x3 conv on bands
         ],
     )
     def test_bit_identical_to_full_propagates(self, spec, labels):

@@ -2,8 +2,20 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from modaldecomp import tensor
 from modaldecomp.tensor import conv2d
+
+STACK_CASES = [
+    (3, 2, 1, 1, 0, 6),  # 1x1
+    (1, 4, 3, 1, 1, 8),  # one input channel
+    (3, 4, 3, 1, 1, 7),
+    (3, 2, 3, 2, 1, 7),
+    (2, 3, 3, 3, 2, 11),
+    (2, 3, 2, 1, 0, 6),  # output narrower than the input
+    (2, 1, 3, 1, 0, 7),  # one output channel
+]
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -57,18 +69,7 @@ class TestConv2d:
         with pytest.raises(ValueError, match="not integral"):
             conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 2, 2)), np.zeros(1), stride=2)
 
-    @pytest.mark.parametrize(
-        "c_in, c_out, k, stride, padding, size",
-        [
-            (3, 2, 1, 1, 0, 6),  # 1x1
-            (1, 4, 3, 1, 1, 8),  # one input channel
-            (3, 4, 3, 1, 1, 7),
-            (3, 2, 3, 2, 1, 7),
-            (2, 3, 3, 3, 2, 11),
-            (2, 3, 2, 1, 0, 6),  # output narrower than the input
-            (2, 1, 3, 1, 0, 7),  # one output channel
-        ],
-    )
+    @pytest.mark.parametrize("c_in, c_out, k, stride, padding, size", STACK_CASES)
     def test_stack_equals_per_slice_calls(self, rng, c_in, c_out, k, stride, padding, size):
         x = rng.normal(size=(5, c_in, size, size))
         w = rng.normal(size=(c_out, c_in, k, k))
@@ -93,3 +94,77 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"\(S,C,H,W\).*" + re.escape(str(shape))):
             conv2d(np.zeros(shape), np.zeros((1, 1, 3, 3)), np.zeros(1), padding=1)
 
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """Every map whose one output row of scratch fits its per-tap buffer runs on one-row bands; records the calls."""
+    monkeypatch.setattr(tensor, "_BAND_BYTES", 0)
+    calls, kernel = [], tensor._conv_bands
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(tensor, "_conv_bands", counted)
+    return calls
+
+
+def einsum_conv2d(x, w, b, padding):
+    """A stride-1 cross-correlation of one map as one einsum over its padded windows."""
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    return np.einsum("ocij,chwij->ohw", w, sliding_window_view(xp, (kh, kw), axis=(1, 2))) + b[:, None, None]
+
+
+class TestConv2dBands:
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, stride, padding, size",
+        STACK_CASES + [(1, 4, 3, 2, 1, 9), (1, 1, 3, 1, 1, 20)],  # stride 2 and one output channel on bands
+    )
+    def test_stack_equals_per_slice_calls(self, rng, bands, c_in, c_out, k, stride, padding, size):
+        x = rng.normal(size=(5, c_in, size, size))
+        w = rng.normal(size=(c_out, c_in, k, k))
+        b = rng.normal(size=c_out)
+        out = conv2d(x, w, b, stride, padding)
+        # a map runs on bands only if one output row's patches and input rows fit in its per-tap buffer
+        assert bool(bands) == (c_in * (k * k * out.shape[-1] + max(k, stride) * (size + 2 * padding)) <= c_out * size**2)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == np.stack([conv2d(xs, w, b, stride, padding) for xs in x]).tobytes()
+        for xs, o in zip(x, out):
+            assert np.allclose(o, naive_conv2d(xs, w, b, stride, padding), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kw, out_shape", [(3, (2, 3, 6, 5)), (2, (2, 3, 6, 6))])
+    def test_output_larger_than_input_against_naive(self, rng, bands, kw, out_shape):
+        x = rng.normal(size=(2, 2, 4, 5))
+        w = rng.normal(size=(3, 2, 1, kw))
+        b = rng.normal(size=3)
+        out = conv2d(x, w, b, padding=1)
+        assert bands and out.shape == out_shape
+        assert out.tobytes() == np.stack([conv2d(xs, w, b, padding=1) for xs in x]).tobytes()
+        for xs, o in zip(x, out):
+            assert np.allclose(o, naive_conv2d(xs, w, b, 1, 1), rtol=1e-12, atol=1e-12)
+
+    def test_map_above_the_budget_runs_on_bands(self, rng, monkeypatch):
+        """A 64x64x16 map (512 KiB per tap) is selected for bands, in several bands of rows, alone or stacked."""
+        x = rng.normal(size=(16, 64, 64))
+        w = rng.normal(size=(16, 16, 3, 3))
+        b = rng.normal(size=16)
+        calls, kernel = [], tensor._conv_bands
+        monkeypatch.setattr(tensor, "_conv_bands", lambda *args: calls.append(1) or kernel(*args))
+        out = conv2d(x, w, b, 1, 1)
+        assert calls
+        assert np.allclose(out, einsum_conv2d(x, w, b, 1), rtol=1e-12, atol=1e-12)
+        stack = conv2d(np.stack([x] * 4), w, b, 1, 1)
+        assert all(o.tobytes() == out.tobytes() for o in stack)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_no_bias_equals_zero_bias(self, rng, request, forced):
+        calls = request.getfixturevalue("bands") if forced else []
+        w = -np.abs(rng.normal(size=(6, 3, 3, 3)))
+        for x in (rng.normal(size=(2, 3, 9, 9)), np.zeros((2, 3, 9, 9))):
+            for stride, padding in ((1, 1), (2, 0), (1, 2)):
+                out = conv2d(x, w, None, stride, padding)
+                assert out.tobytes() == conv2d(x, w, np.zeros(6), stride, padding).tobytes()
+        assert not np.signbit(out).any()  # a zero input with negative weights sums to +0.0
+        assert len(calls) == (12 if forced else 0)
