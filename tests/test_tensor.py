@@ -97,17 +97,18 @@ class TestConv2d:
 
 
 @pytest.fixture
-def bands(monkeypatch):
-    """Every map whose one output row of scratch fits its per-tap buffer runs on one-row bands; records the calls."""
-    monkeypatch.setattr(tensor, "_BAND_BYTES", 0)
+def band_calls(monkeypatch):
+    """Records each call of the band kernel."""
     calls, kernel = [], tensor._conv_bands
-
-    def counted(*args):
-        calls.append(args[0].shape)
-        return kernel(*args)
-
-    monkeypatch.setattr(tensor, "_conv_bands", counted)
+    monkeypatch.setattr(tensor, "_conv_bands", lambda *args: calls.append(1) or kernel(*args))
     return calls
+
+
+@pytest.fixture
+def bands(monkeypatch, band_calls):
+    """Every map whose one output row of scratch fits its per-tap buffer runs on one-row bands."""
+    monkeypatch.setattr(tensor, "_BAND_BYTES", 0)
+    return band_calls
 
 
 def einsum_conv2d(x, w, b, padding):
@@ -145,22 +146,20 @@ class TestConv2dBands:
         for xs, o in zip(x, out):
             assert np.allclose(o, naive_conv2d(xs, w, b, 1, 1), rtol=1e-12, atol=1e-12)
 
-    def test_map_above_the_budget_runs_on_bands(self, rng, monkeypatch):
+    def test_map_above_the_budget_runs_on_bands(self, rng, band_calls):
         """A 64x64x16 map (512 KiB per tap) is selected for bands, in several bands of rows, alone or stacked."""
         x = rng.normal(size=(16, 64, 64))
         w = rng.normal(size=(16, 16, 3, 3))
         b = rng.normal(size=16)
-        calls, kernel = [], tensor._conv_bands
-        monkeypatch.setattr(tensor, "_conv_bands", lambda *args: calls.append(1) or kernel(*args))
         out = conv2d(x, w, b, 1, 1)
-        assert calls
+        assert band_calls
         assert np.allclose(out, einsum_conv2d(x, w, b, 1), rtol=1e-12, atol=1e-12)
         stack = conv2d(np.stack([x] * 4), w, b, 1, 1)
         assert all(o.tobytes() == out.tobytes() for o in stack)
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_no_bias_equals_zero_bias(self, rng, request, forced):
-        calls = request.getfixturevalue("bands") if forced else []
+        calls = request.getfixturevalue("bands" if forced else "band_calls")
         w = -np.abs(rng.normal(size=(6, 3, 3, 3)))
         for x in (rng.normal(size=(2, 3, 9, 9)), np.zeros((2, 3, 9, 9))):
             for stride, padding in ((1, 1), (2, 0), (1, 2)):
