@@ -33,17 +33,18 @@ and only the bias row takes the cross-modality terms of a MatMul. So a run
 that splices rows of two reference runs has their modality rows, and only
 its bias row needs pushing (_splice_bias).
 
-A sweep can carry J runs under one recorded state in a (J*M+1, *map) stack:
-row j*M+m holds run j's modality m and the last row is the bias row. Over
-the row-separable prefix (see _Plan) the bias row is the same in every run,
-so _sweep_runs pushes all J runs at once and stops at the frontier, and
-_splice reads run j's rows from that layout; a 'uniform' constant is split
-M+1 ways whatever the row count. The plan's liveness table lets a sweep drop
-each stack after its last reader unless the caller keeps it: record keeps
-none, the CLI's decompose keeps the output (taking each layer's equality
-residual inside the sweep, against a forward evaluated alongside it), the
-protocol's clean pass and the stacked sweep keep the frontier, and decompose
-and propagate keep every layer's.
+A sweep under a given state can carry J runs in a (J*M+1, *map) stack, row
+j*M+m holding run j's modality m and the last row a shared bias row, when
+no layer re-routes. Every frozen rule maps a modality row from that row
+alone, lin_matmul forms a[m] @ b[m] row by row, and a 'uniform' constant is
+split M+1 ways whatever the row count, so row j*M+m is run j's modality m at
+every layer. The bias row is each run's own up to the frontier; past the
+first MatMul it belongs to no run, and nothing reads it. The plan's liveness
+table lets a sweep drop each stack after its last reader unless the caller
+keeps it: record keeps none, the CLI's decompose and the protocol keep the
+output (the CLI taking each layer's equality residual inside the sweep,
+against a forward evaluated alongside it), and decompose and propagate keep
+every layer's.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def _layer_cache(layer: LayerSpec, pre: np.ndarray, eps: float) -> dict[str, np.
 
 def record(model: ModelGraph, inputs: dict[int, np.ndarray], cfg: SplitConfig | None = None) -> RecordedState:
     """The linearization recorded under the full multimodal input (see decompose); keeps no stack."""
-    return _decompose(_Plan(model, cfg or SplitConfig()), inputs, keep=frozenset())[1]
+    return _decompose(_Plan(model, cfg or SplitConfig()), [inputs], keep=frozenset())[1]
 
 
 # --- frozen per-layer rules on component stacks ---------------------------
@@ -433,14 +434,14 @@ class _Plan:
 
     One walk over model.layers gives:
     - rules, the rules bound without recorded values (_STATIC_KINDS);
-    - prefix and suffix, the layers inside and past the row-separable
-      prefix, in model order. Every frozen rule computes component r of its
-      output from component r of its inputs, except MatMul (cross terms go
-      to bias) and the _ACT_RULE_KINDS under an act_rule that re-routes bias
-      mass; a layer is separable when its rule is not one of these and all
-      of its inputs are separable. Up to the first row-mixing layer, each row
-      of a stack is therefore the same whatever the other rows hold;
-    - frontier, the prefix stacks that the suffix reads, plus a separable
+    - suffix, the layers past the row-separable prefix, in model order.
+      Every frozen rule computes component r of its output from component r
+      of its inputs, except MatMul (cross terms go to bias) and the
+      _ACT_RULE_KINDS under an act_rule that re-routes bias mass; a layer is
+      separable when its rule is not one of these and all of its inputs are
+      separable. Up to the first row-mixing layer, each row of a stack is
+      therefore the same whatever the other rows hold;
+    - frontier, the separable stacks that the suffix reads, plus a separable
       output;
     - reroutes, whether a suffix layer moves bias mass into the modality
       rows (a ReLU/GELU under an act_rule); unless one does, the suffix too
@@ -463,7 +464,7 @@ class _Plan:
                 f"act_rule '{cfg.act_rule}' is defined for exactly two modalities, model has {model.modalities}"
             )
         self.model, self.cfg = model, cfg
-        self.rules, self.prefix, self.suffix, self.frontier = {}, [], [], set()
+        self.rules, self.suffix, self.frontier = {}, [], set()
         self.reroutes = cfg.act_rule != "none" and any(layer.kind in _ACT_RULE_KINDS for layer in model.layers)
         self.partial, self._rows = {}, {}
         rank, separable, last_reader = {}, set(), {}
@@ -476,7 +477,6 @@ class _Plan:
             mixing = layer.kind == "MatMul" or (layer.kind in _ACT_RULE_KINDS and cfg.act_rule != "none")
             if not mixing and separable.issuperset(layer.inputs):
                 separable.add(layer.id)
-                self.prefix.append(layer)
             else:
                 self.suffix.append(layer)
                 self.frontier.update(separable.intersection(layer.inputs))
@@ -583,24 +583,22 @@ def _check_finite(layer: LayerSpec, h: np.ndarray, observe=None) -> None:
 
 
 def _splice(
-    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members, run=0
+    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members
 ) -> dict[str, np.ndarray]:
-    """The stacks of a run taking the members' rows from run `run` of take and every other row from rest.
+    """The stacks of a run taking the members' rows from take and every other row from rest.
 
-    members is a set of modality indices. take may hold J runs (see
-    _sweep_runs); an (M+1)-row stack is run 0. In the separable prefix (see
+    take and rest hold the frontier stacks of two (M+1)-row runs, and
+    members is a set of modality indices. In the separable prefix (see
     _Plan) each row of a stack is the same whatever the other rows hold, and
     the bias row is the same in every run, so the frontier stacks are
     spliced row by row and only the suffix is run again. Returns the spliced
     frontier and the suffix stacks; the output is always among them.
     """
-    m = plan.model.modalities
-    rows = [i in members for i in range(m)] + [False]  # the bias row always comes from rest
+    rows = [i in members for i in range(plan.model.modalities)] + [False]  # the bias row always comes from rest
     comp = {}
     for lid in plan.frontier:
         keep = np.reshape(rows, (-1,) + (1,) * (rest[lid].ndim - 1))
-        # a view of run's M rows and the next row, which keep never takes
-        comp[lid] = np.where(keep, take[lid][run * m : run * m + m + 1], rest[lid])
+        comp[lid] = np.where(keep, take[lid], rest[lid])
     return _propagate_layers(plan, plan.suffix, state, None, comp)
 
 
@@ -629,33 +627,26 @@ def _splice_bias(
     return bias[plan.model.output][0]
 
 
-def _sweep_runs(plan: _Plan, state: RecordedState, runs: list[dict[int, np.ndarray]]) -> dict[str, np.ndarray]:
-    """The frontier stacks of several runs under one recorded state, from one sweep of the separable prefix.
-
-    Each stack has J*M+1 rows for the J runs: row j*M+m is run j's modality
-    m and the last row is the bias row, which in the prefix is the same in
-    every run (see _Plan). Run j's own (M+1)-row stack is its row block plus
-    the bias row, which _splice(..., run=j) reads; the suffix is not run.
-    """
-    return _propagate_layers(plan, plan.prefix, state, runs, {}, keep=plan.frontier)
-
-
 def _decompose(
-    plan: _Plan, inputs: dict[int, np.ndarray], keep=None, state: RecordedState | None = None, observe=None
+    plan: _Plan, runs: list[dict[int, np.ndarray]], keep=None, state: RecordedState | None = None, observe=None
 ) -> tuple[dict[str, np.ndarray], RecordedState]:
-    """The stacks in keep (every layer's when None) and the state, recorded in the same sweep unless given.
+    """The stacks in keep (every layer's when None) of the J runs, and the state, recorded unless given.
 
-    When recording, the first non-finite layer in model order raises
-    DecompositionError (see decompose); a given state is only read (see
-    propagate). A recording sweep with a keep set calls observe(layer,
-    total) with each layer's checked total, in model order.
+    More than one run needs a given state and a plan that re-routes nothing;
+    each stack then has J*M+1 rows, row j*M+m run j's modality m (see the
+    module docstring). When recording, the first non-finite layer in model
+    order raises DecompositionError (see decompose); a given state is only
+    read (see propagate). A recording sweep with a keep set calls
+    observe(layer, total) with each layer's checked total, in model order.
     """
     recording = state is None
+    if len(runs) > 1 and (recording or plan.reroutes):
+        raise ValueError("a sweep of several runs needs a given state and no layer that re-routes bias mass")
     if recording:
-        state = RecordedState(dict(inputs), {}, plan.cfg.epsilon)
+        state = RecordedState(dict(runs[0]), {}, plan.cfg.epsilon)
     elif plan.cfg.epsilon != state.epsilon:
         raise ValueError(f"state was recorded with epsilon {state.epsilon}, config has {plan.cfg.epsilon}")
-    comp = _propagate_layers(plan, plan.model.layers, state, [inputs], {}, recording, keep, observe)
+    comp = _propagate_layers(plan, plan.model.layers, state, runs, {}, recording, keep, observe)
     if recording and keep is None:
         # Every stack is still here, so the totals are checked after the
         # sweep: a total formed between two stacks shifts where the allocator
@@ -677,7 +668,7 @@ def propagate(
     a linearization recorded from clean inputs. Raises ValueError naming the
     first layer whose cache the state lacks, as a state of another model does.
     """
-    comp = _decompose(_Plan(model, cfg or SplitConfig()), inputs, state=state)[0]
+    comp = _decompose(_Plan(model, cfg or SplitConfig()), [inputs], state=state)[0]
     return {lid: DecomposedTensor(h) for lid, h in comp.items()}
 
 
@@ -694,7 +685,7 @@ def decompose(
     cfg: SplitConfig | None = None,
 ) -> DecompositionResult:
     """Record and propagate in one sweep; raises DecompositionError at a non-finite layer."""
-    comp, state = _decompose(_Plan(model, cfg or SplitConfig()), inputs)
+    comp, state = _decompose(_Plan(model, cfg or SplitConfig()), [inputs])
     comp = {lid: DecomposedTensor(h) for lid, h in comp.items()}
     return DecompositionResult(comp, comp[model.output], state)
 
@@ -733,5 +724,5 @@ def _output_and_residuals(
         for lid in plan.frees[layer.id]:
             del acts[lid]
 
-    comp = _decompose(plan, inputs, keep={model.output}, observe=observe)[0]
+    comp = _decompose(plan, [inputs], keep={model.output}, observe=observe)[0]
     return DecomposedTensor(comp[model.output]), residuals

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _splice, _sweep_runs
+from .decompose import SplitConfig, _decompose, _Plan
 from .heatmap import _max_positive
 from .model import ModelGraph, _dump_document
 from .parallel import ordered_map
@@ -175,17 +175,15 @@ def perturbation_protocol(
     For each sample the linearization is recorded once from the clean inputs
     and reused for every replacement, so an unperturbed modality's component
     is reproduced bit for bit when the splitting rules do not mix components.
-    Per sample, one stacked sweep of the separable prefix runs all the
-    offsets' replacement samples at once (see decompose._sweep_runs). Per
-    offset, one run is spliced with every modality taken from that offset's
-    run of the sweep (see decompose._splice); a perturbation set's run then
-    has the members' output rows of that splice and the other rows of the
-    clean run, since no modality row reads another. When a suffix layer
-    re-routes bias mass (an act_rule), each (offset, set) run is spliced
-    instead. One stacked call scores all the sample's (offset, set,
-    modality) pairs. Degenerate pairs (a constant or non-finite map) are
-    counted per cell and excluded from the Pearson aggregate rather than
-    silently averaged.
+    Per sample, one sweep of the whole model under that state runs all the
+    offsets' replacement samples at once (see decompose._decompose); a
+    perturbation set's run then has the members' output rows of its offset's
+    run and the other rows of the clean run, since no modality row reads
+    another. When a layer re-routes bias mass (an act_rule), each (offset,
+    set)'s spliced input is swept on its own instead. One stacked call
+    scores all the sample's (offset, set, modality) pairs. Degenerate pairs
+    (a constant or non-finite map) are counted per cell and excluded from
+    the Pearson aggregate rather than silently averaged.
     """
     cfg = cfg or SplitConfig()
     mcfg = mcfg or MetricConfig()
@@ -206,17 +204,17 @@ def perturbation_protocol(
 
     def one_sample(k: int) -> tuple[np.ndarray, ...]:
         # (offsets, sets, M) scores of the sample's replacement runs, from one stacked call
-        comp, state = _decompose(plan, samples[k], keep=plan.frontier | {model.output})
-        clean_rows = comp[model.output][:-1].reshape(n_mod, -1)  # (M, entries)
+        clean, state = _decompose(plan, [samples[k]], keep={model.output})
+        clean_rows = clean[model.output][:-1].reshape(n_mod, -1)  # (M, entries)
         runs = [samples[(k + stride * j) % n] for j in range(1, mcfg.offset_count + 1)]
-        replaced = _sweep_runs(plan, state, runs)
-        # unless the suffix re-routes, a set's run has the all-modalities splice's rows of its
-        # members and the clean run's other rows, so each offset is spliced once
-        sets = perturb_sets if plan.reroutes else [modalities]
-        outs = [_splice(plan, state, replaced, comp, p, j)[model.output][:-1] for j in range(len(runs)) for p in sets]
-        b = np.reshape(outs, (len(runs), len(sets)) + clean_rows.shape)
-        if not plan.reroutes:
-            b = np.where(member, b, clean_rows)
+        if plan.reroutes:
+            spliced = [{**samples[k], **{p: run[p] for p in pset}} for run in runs for pset in perturb_sets]
+            outs = [_decompose(plan, [x], {model.output}, state)[0][model.output][:-1] for x in spliced]
+            b = np.reshape(outs, (len(runs), len(perturb_sets)) + clean_rows.shape)
+        else:
+            # row j*M+m of the stacked output is offset j's modality m
+            stacked = _decompose(plan, runs, {model.output}, state)[0][model.output][:-1]
+            b = np.where(member, stacked.reshape(len(runs), 1, *clean_rows.shape), clean_rows)
         a = clean_rows
         if mcfg.positive_parts:
             a, b = _max_positive(a, -1), _max_positive(b, -1)

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .decompose import SplitConfig, _decompose, _Plan, _residual, _splice, _splice_bias, _sweep_runs
+from .decompose import SplitConfig, _decompose, _Plan, _residual, _splice, _splice_bias
 from .model import ModelGraph, _check_inputs, eval_layer
 
 __all__ = ["Attribution", "shapley", "hybrid_shapley", "MAX_MODALITIES"]
@@ -151,10 +151,10 @@ def hybrid_shapley(
     others, so every coalition, empty and full included, pushes only its bias
     row through them (see decompose._splice_bias); under an act_rule each
     coalition reruns them whole. Under a 'uniform' bn_rule or ln_rule the
-    empty run also costs one sweep of the zero input through the row-separable
-    prefix; under the other rules that sweep's frontier stacks are zero
-    modality rows and the full run's bias row (the prefix's bias row does not
-    depend on the input), so they are taken from the full run.
+    empty run is one whole sweep of the zero input under the state; under the
+    other rules its frontier stacks are zero modality rows and the full run's
+    bias row (the prefix's bias row does not depend on the input), so they
+    are taken from the full run.
 
     method='proportional': a simpler reading that splits the bias elementwise
     in proportion to the component magnitudes.
@@ -169,7 +169,7 @@ def hybrid_shapley(
     if method not in ("shapley", "proportional"):
         raise ValueError(f"unknown redistribution method '{method}'")
     plan = _Plan(model, cfg)
-    full, state = _decompose(plan, inputs, state=state, keep=plan.frontier.union(layer.id for layer in plan.suffix))
+    full, state = _decompose(plan, [inputs], state=state, keep=plan.frontier.union(layer.id for layer in plan.suffix))
     out = full[model.output]
     h_bias, total = out[-1], out.sum(axis=0)
 
@@ -185,13 +185,15 @@ def hybrid_shapley(
     # rest from the empty run; only a 'uniform' constant puts mass in the
     # empty run's modality rows.
     if "uniform" in (cfg.bn_rule, cfg.ln_rule):
-        empty = _sweep_runs(plan, state, [{i: np.zeros(model.input_shape(i)) for i in range(m)}])
+        # the same stacks as the full run's
+        empty = _decompose(plan, [{i: np.zeros(model.input_shape(i)) for i in range(m)}], full.keys(), state)[0]
     else:
         empty = {lid: np.concatenate([np.zeros_like(full[lid][:-1]), full[lid][-1:]]) for lid in plan.frontier}
+        if not plan.reroutes:
+            empty = _splice(plan, state, full, empty, set())  # the empty run's suffix stacks too
     if plan.reroutes:
         bias_values, phis = _game(m, lambda members: _splice(plan, state, full, empty, members)[model.output][-1])
     else:
-        empty = _splice(plan, state, full, empty, set())  # the empty run's suffix stacks too
         bias_values, phis = _game(m, lambda members: _splice_bias(plan, state, full, empty, members))
     per = {i: out[i] + phis[i] for i in range(m)}
     return Attribution(base=bias_values[0], per_modality=per, n_forwards=1 << m, total=total)

@@ -33,11 +33,10 @@ from modaldecomp.decompose import (
     _input_stack,
     _Plan,
     _rowsum,
-    _sweep_runs,
 )
 from modaldecomp.model import _softmax, matmul_pair, norm_axes, norm_stats
 
-from conftest import push, scalar_pair_model, small_model
+from conftest import every_kind_suffix_model, push, scalar_pair_model, small_model
 
 EPS = 1e-6
 
@@ -654,15 +653,57 @@ class TestSupport:
         """Every stack of a decompose and of a J-run sweep has the same bits as with an empty row-support table."""
         x, *runs = samples
         plan = _Plan(model, SplitConfig.parse(label))
-        got, state = _decompose(plan, x)
-        swept = _sweep_runs(plan, state, runs)
+        got, state = _decompose(plan, [x])
+        batches = [[run] for run in runs] if plan.reroutes else [runs]  # a re-routing plan sweeps one run at a time
+        swept = [_decompose(plan, batch, state=state)[0] for batch in batches]
         monkeypatch.setattr(plan, "partial", {})
-        want, _ = _decompose(plan, x)
+        want, _ = _decompose(plan, [x])
         assert got.keys() == want.keys()
         for lid, h in want.items():
             assert got[lid].tobytes() == h.tobytes(), lid
-        for lid, h in _sweep_runs(plan, state, runs).items():
-            assert swept[lid].tobytes() == h.tobytes(), lid
+        for batch, comp in zip(batches, swept):
+            for lid, h in _decompose(plan, batch, state=state)[0].items():
+                assert comp[lid].tobytes() == h.tobytes(), lid
+
+
+class TestRunSweep:
+    """A given-state sweep of J runs in one (J*M+1)-row stack."""
+
+    @pytest.mark.parametrize("modalities", [2, 3])
+    def test_rows_bit_identical_to_each_runs_propagate(self, modalities):
+        """Every modality row at every layer, and the bias row outside the suffix, is the run's own propagate's:
+        batched MatMul over J*M rows, LayerNorm/InstanceNorm reductions, Softmax and ConcatFusion included."""
+        model = every_kind_suffix_model(modalities)
+        x, *runs = gen_sample_set(11, model, 4).samples
+        m = modalities
+        for label in TestSupport.RULES:
+            cfg = SplitConfig.parse(label)
+            plan, state = _Plan(model, cfg), record(model, x, cfg)
+            suffix = {layer.id for layer in plan.suffix}
+            stacked, _ = _decompose(plan, runs, state=state)
+            assert stacked.keys() == {layer.id for layer in model.layers}
+            for j, run in enumerate(runs):
+                for lid, d in propagate(model, state, run, cfg).items():
+                    h = stacked[lid]
+                    assert h.shape[0] == len(runs) * m + 1
+                    assert h[j * m : (j + 1) * m].tobytes() == d.parts[:-1].tobytes(), (label, lid)
+                    if lid not in suffix:
+                        assert h[-1].tobytes() == d.parts[-1].tobytes(), (label, lid)
+
+    def test_several_runs_need_a_given_state(self):
+        model = small_model()
+        plan = _Plan(model, SplitConfig())
+        with pytest.raises(ValueError, match="several runs needs a given state"):
+            _decompose(plan, gen_sample_set(4, model, 2).samples)
+
+    def test_several_runs_refused_when_a_layer_reroutes(self):
+        model = small_model()
+        x, y = gen_sample_set(4, model, 2).samples
+        cfg = SplitConfig(act_rule="sum")
+        plan, state = _Plan(model, cfg), record(model, x, cfg)
+        assert plan.reroutes
+        with pytest.raises(ValueError, match="no layer that re-routes"):
+            _decompose(plan, [x, y], state=state)
 
 
 class TestLiveness:
@@ -697,9 +738,9 @@ class TestLiveness:
         model = small_model(3, **overrides)
         x = gen_sample_set(4, model, 1)[0]
         plan = _Plan(model, cfg)
-        full, _ = _decompose(plan, x)
+        full, _ = _decompose(plan, [x])
         for keep in (frozenset(), plan.frontier | {model.output}):
-            comp, _ = _decompose(plan, x, keep)
+            comp, _ = _decompose(plan, [x], keep)
             assert comp.keys() == keep
             for lid, h in comp.items():
                 assert np.array_equal(h, full[lid]), lid

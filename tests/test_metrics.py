@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from modaldecomp import (
     CellStats,
-    DecomposedTensor,
     DecompositionError,
     MetricConfig,
     SeparationReport,
@@ -27,7 +27,7 @@ from modaldecomp import (
     report_to_json,
     variant_matrix,
 )
-from modaldecomp.decompose import _Plan, _splice, _sweep_runs
+from modaldecomp.decompose import _Plan
 from modaldecomp.heatmap import normalize_map
 from modaldecomp.metrics import _pearson
 
@@ -211,14 +211,8 @@ class TestMetricConfig:
             perturbation_protocol(model, samples)
 
 
-def one_propagate_per_replacement(model, samples, cfg, mcfg, splice=False):
-    """The protocol as one full propagate per (perturbation set, offset) pair.
-
-    With splice, each pair's output is instead one _splice of the replacement
-    sample's prefix sweep and the clean run, taking the set's rows from the
-    replacement.
-    """
-    plan = _Plan(model, cfg)
+def one_propagate_per_replacement(model, samples, cfg, mcfg):
+    """The protocol as one full propagate per (perturbation set, offset) pair."""
     n = samples.n
     stride = mcfg.resolve_stride(n)
     modalities = sorted(model.modality_inputs)
@@ -233,12 +227,7 @@ def one_propagate_per_replacement(model, samples, cfg, mcfg, splice=False):
                 pert_inputs = dict(inputs)
                 for p in pset:
                     pert_inputs[p] = src[p]
-                if splice:
-                    clean = {lid: d.parts for lid, d in res.components.items()}
-                    take = _sweep_runs(plan, res.state, [src])
-                    pert = DecomposedTensor(_splice(plan, res.state, take, clean, set(pset))[model.output])
-                else:
-                    pert = propagate(model, res.state, pert_inputs, cfg)[model.output]
+                pert = propagate(model, res.state, pert_inputs, cfg)[model.output]
                 for o in modalities:
                     a, b = res.output.modality(o), pert.modality(o)
                     if mcfg.positive_parts:
@@ -372,8 +361,9 @@ class TestProtocol:
             perturbation_protocol(model, samples)
 
     @pytest.mark.parametrize("modalities", [2, 3])
-    def test_row_selection_matches_a_splice_per_replacement(self, modalities):
-        """With every layer kind in the suffix, a set's rows taken from its offset's one splice keep the report's bytes."""
+    def test_row_selection_matches_a_propagate_per_replacement(self, modalities):
+        """With every layer kind in the suffix, a set's rows taken from the one stacked sweep of the offsets keep the
+        report's bytes."""
         model = every_kind_suffix_model(modalities)
         samples = gen_sample_set(11, model, 4)
         perturbed = ((0,), (1,), (0, 2), (1, 2)) if modalities == 3 else None
@@ -382,31 +372,39 @@ class TestProtocol:
         for label in labels + (["identity-ratio-sum", "uniform-identity-ratio"] if modalities == 2 else []):
             cfg = SplitConfig.parse(label)
             got = perturbation_protocol(model, samples, cfg, mcfg)
-            want = one_propagate_per_replacement(model, samples, cfg, mcfg, splice=True)
+            want = one_propagate_per_replacement(model, samples, cfg, mcfg)
             assert report_to_json([got]) == report_to_json([want]), label
 
     def test_one_splice_per_offset_unless_the_suffix_reroutes(self, monkeypatch):
-        """Without an act_rule each offset is spliced once; under 'sum' a suffix ReLU mixes rows, so each
-        (offset, set) run is spliced."""
-        counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_splice",))
+        """Without an act_rule each sample is one clean sweep and one stacked sweep of its offsets; under 'sum' a
+        suffix ReLU mixes rows, so each (offset, set) input is swept on its own. Nothing is spliced."""
+        names = ("_decompose", "_splice")
+        counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), names)
         model = small_model(include_attention=True)
         samples, mcfg = gen_sample_set(5, model, 4), MetricConfig(stride=1, offset_count=3)
         # 4 samples, 3 offsets, and 2 perturbation sets under 'sum'
-        for label, splices in (("identity-ratio", 12), ("uniform-identity", 12), ("identity-ratio-sum", 24)):
-            counts["_splice"] = 0
+        for label, sweeps in (("identity-ratio", 8), ("uniform-identity", 8), ("identity-ratio-sum", 4 * (1 + 3 * 2))):
+            counts.update(dict.fromkeys(names, 0))
             perturbation_protocol(model, samples, SplitConfig.parse(label), mcfg)
-            assert counts == {"_splice": splices}, label
+            assert counts == {"_decompose": sweeps, "_splice": 0}, label
 
     def test_one_decompose_and_one_stacked_sweep_per_sample(self, monkeypatch):
-        """A separable model's replacement runs are one prefix sweep per sample, with no full propagate."""
+        """A separable model's replacement runs are one stacked sweep per sample, beside its clean decompose."""
+        heights, step = Counter(), _Plan.step
+
+        def counted_step(plan, layer, ups, *args):
+            if layer.id == model.output:
+                heights[len(ups[0])] += 1
+            return step(plan, layer, ups, *args)
+
+        monkeypatch.setattr(_Plan, "step", counted_step)
         # the engine's names and the ones metrics imported from it
-        counts = count_calls(
-            monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_decompose", "_sweep_runs")
-        )
+        counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.metrics"), ("_decompose",))
         model = small_model(modalities=3)
         assert not _Plan(model, SplitConfig()).suffix
         perturbation_protocol(model, gen_sample_set(5, model, 6), mcfg=MetricConfig(offset_count=4))
-        assert counts == {"_decompose": 6, "_sweep_runs": 6}
+        assert counts == {"_decompose": 12}
+        assert heights == {4: 6, 13: 6}  # the output's input stack: M+1 rows clean, 4*M+1 rows for the 4 offsets
 
 
 class TestVariantMatrix:

@@ -6,10 +6,11 @@ must keep the equality contract at every layer, and splicing two runs at the
 separable frontier must reproduce, bit for bit, a full propagate of the
 spliced inputs: the full and the empty run give x with the non-members
 zeroed (a Shapley coalition), the run of y and the clean run give x with the
-members replaced by y's (a replacement of the protocol). And x and y swept
-together through the prefix as one stacked run must give, in each one's rows
-plus the shared bias row, its own propagate bit for bit at every frontier
-layer. The hybrid Shapley game, played on splices, must equal the same game
+members replaced by y's (a replacement of the protocol). And, unless a layer
+re-routes bias mass, x and y swept together under x's state as one stacked
+run must give, in each one's modality rows at every layer and in the shared
+bias row outside the suffix, its own propagate bit for bit. The hybrid
+Shapley game, played on splices, must equal the same game
 played with one full propagate per coalition, bit for bit, for x and for y
 under x's state.
 
@@ -36,7 +37,7 @@ from modaldecomp import (
     hybrid_shapley,
     propagate,
 )
-from modaldecomp.decompose import _Plan, _splice, _sweep_runs
+from modaldecomp.decompose import _decompose, _Plan, _splice
 
 from conftest import full_propagate_hybrid
 
@@ -88,14 +89,18 @@ def test_equality_and_splice_on_generated_graphs(case):
         for lid, h in spliced.items():
             assert np.array_equal(h, ref[lid].parts), lid
 
-    # x and y in one stacked sweep of the prefix: run j's rows and the bias row are its own propagate
-    stacked = _sweep_runs(plan, res.state, [x, y])
-    assert stacked.keys() == plan.frontier
-    for j, run in enumerate((x, y)):
-        own = propagate(model, res.state, run, cfg)
-        for lid, h in stacked.items():
-            assert h.shape[0] == 2 * M + 1
-            assert np.array_equal(h[[*range(j * M, (j + 1) * M), -1]], own[lid].parts), lid
+    # x and y in one sweep under x's state: unless a layer re-routes, run j's modality rows at every layer, and
+    # its bias row outside the suffix, are its own propagate's
+    if not plan.reroutes:
+        stacked, _ = _decompose(plan, [x, y], state=res.state)
+        suffix = {layer.id for layer in plan.suffix}
+        for j, run in enumerate((x, y)):
+            for lid, d in propagate(model, res.state, run, cfg).items():
+                h = stacked[lid]
+                assert h.shape[0] == 2 * M + 1
+                assert h[j * M : (j + 1) * M].tobytes() == d.parts[:-1].tobytes(), lid
+                if lid not in suffix:
+                    assert h[-1].tobytes() == d.parts[-1].tobytes(), lid
 
     assume(_cancellation(res.components) <= 1e6)
     residuals = equality_residuals(model, res.components, res.state)

@@ -302,14 +302,14 @@ class TestCoalitionSharing:
                     assert attr.per_modality[m].tobytes() == per[m].tobytes(), label
 
     def test_one_decompose_one_prefix_sweep_and_a_splice_per_coalition(self, monkeypatch):
-        """One full sweep and one whole-stack splice (the empty coalition); every coalition then pushes 1-row
-        stacks through the suffix. The empty run costs a prefix sweep only under a 'uniform' rule (else it is
-        read off the full run), and a given state is only read."""
+        """One full sweep and one whole-stack splice (the empty coalition, read off the full run); under a 'uniform'
+        rule the empty run is a second whole sweep, of the zero input, and nothing is spliced. Every coalition then
+        pushes 1-row stacks through the suffix, and a given state is only read."""
         model = small_model(modalities=4, include_attention=True)
         x, y = gen_sample_set(5, model, 2).samples
         state = record(model, x)
         before = {lid: dict(cache) for lid, cache in state.caches.items()}
-        names = ("_decompose", "_sweep_runs", "_splice")
+        names = ("_decompose", "_splice", "_splice_bias")
         counts = count_calls(monkeypatch, ("modaldecomp.decompose", "modaldecomp.shapley"), names)
         heights, step = Counter(), _Plan.step
 
@@ -318,23 +318,24 @@ class TestCoalitionSharing:
             return step(plan, layer, ups, *args)
 
         monkeypatch.setattr(_Plan, "step", counted_step)
-        # the full sweep and the empty coalition's splice push 5 rows; the 16 coalitions push the bias row
-        # alone through every suffix layer but the MatMuls, whose bias rows are formed from the stored rows
+        # the full sweep and the empty run push 5 rows; the 16 coalitions push the bias row alone through every
+        # suffix layer but the MatMuls, whose bias rows are formed from the stored rows
         suffix = {("attn_scores", 5): 2, ("attn_softmax", 5): 2, ("attn_out", 5): 2, ("head", 5): 2}
         suffix.update({("attn_softmax", 1): 16, ("head", 1): 16})
-        for cfg, sweeps in ((SplitConfig(), 0), (SplitConfig("uniform", "ratio"), 1)):
+        calls = {SplitConfig(): (1, 1), SplitConfig("uniform", "ratio"): (2, 0)}
+        for cfg, (sweeps, splices) in calls.items():
             for st, inputs in ((None, x), (state, y)):
                 counts.update(dict.fromkeys(names, 0))
                 heights.clear()
                 hybrid_shapley(model, inputs, cfg, state=st)
-                assert counts == {"_decompose": 1, "_sweep_runs": sweeps, "_splice": 1}
+                assert counts == {"_decompose": sweeps, "_splice": splices, "_splice_bias": 16}
                 assert {key: n for key, n in heights.items() if key[0] in {lid for lid, _ in suffix}} == suffix
         # under act_rule 'sum' a suffix ReLU re-routes bias mass, so every coalition is a whole-stack splice
         pair = small_model(modalities=2)
         counts.update(dict.fromkeys(names, 0))
         heights.clear()
         hybrid_shapley(pair, gen_sample_set(5, pair, 1)[0], SplitConfig(act_rule="sum"))
-        assert counts == {"_decompose": 1, "_sweep_runs": 0, "_splice": 4}
+        assert counts == {"_decompose": 1, "_splice": 4, "_splice_bias": 0}
         assert all(rows == 3 for _, rows in heights if rows)
         attr = hybrid_shapley(model, y, state=state)
         # y pushed through x's linearization, not a fresh one, and no cache added or replaced
