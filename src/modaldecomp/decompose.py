@@ -9,10 +9,10 @@ input statistics of every LayerNorm/InstanceNorm.
 
 Every single-input layer freezes into one rule (see _frozen_rule): a
 homogeneous linear map applied to the whole stack, a recorded constant, and
-a routing that sends the constant to the bias component ('identity'),
-spreads it over all components ('uniform'), or, for ReLU/GELU under an
-act_rule ('sum' or 'ratio'), sends it to the bias component and then moves
-the bias component's output mass to the two modalities. One plan per call
+a routing (_routing) that sends the constant to the bias component
+('identity'), spreads it over all components ('uniform'), or, for ReLU/GELU
+under an act_rule ('sum' or 'ratio'), sends it to the bias component and
+then moves that row's output mass to the two modalities. One plan per call
 (_Plan) binds the Dense, Conv2d and BatchNorm rules and the splice frontier;
 its per-layer step, the one place a stack is formed, binds activation and
 norm rules from the state's cache. Fusion and structural layers
@@ -57,6 +57,7 @@ from .model import (
     LayerSpec,
     ModelGraph,
     channel_shape,
+    dense_apply,
     eval_layer,
     forward,
     layer_axis,
@@ -97,9 +98,7 @@ _LN_RULES = ("ratio", "identity", "uniform")
 _ACT_RULES = ("none", "sum", "ratio")
 
 _ACTIVATION_KINDS = ("ReLU", "GELU", "Softmax")
-_ACT_RULE_KINDS = ("ReLU", "GELU")  # the activations whose bias mass act_rule re-routes
 _STATIC_KINDS = ("Dense", "Conv2d", "BatchNorm")  # rules bound without recorded values
-_NORM_KINDS = ("LayerNorm", "InstanceNorm")  # the norms whose constant ln_rule routes
 
 
 class DecompositionError(RuntimeError):
@@ -253,45 +252,50 @@ def _input_stack(xs: list[np.ndarray], modality: int, num_modalities: int) -> np
     return h
 
 
+def _routing(kind: str, cfg: SplitConfig | None) -> str:
+    """Where kind's rule sends its constant under cfg (see _push); cfg may be None for Dense, Conv2d and Softmax."""
+    if kind == "BatchNorm":
+        return cfg.bn_rule
+    if kind in ("LayerNorm", "InstanceNorm") and cfg.ln_rule != "ratio":
+        return cfg.ln_rule
+    if kind in ("ReLU", "GELU") and cfg.act_rule != "none":
+        return cfg.act_rule
+    return "identity"
+
+
 def _frozen_rule(layer: LayerSpec, state: RecordedState | None, cfg: SplitConfig | None, nd: int):
     """The frozen surrogate of a single-input layer on rank-nd activations.
 
     Returns (map, const, routing). map is the homogeneous linear map on an
     (S, ...) component stack, const the recorded constant, and routing
-    ('identity' or 'uniform') says whether const goes to the bias component
-    or is spread equally over all of them. A ReLU/GELU under an act_rule
-    routes by that rule's name ('sum' or 'ratio'): const goes to the bias
-    component, whose output mass _reroute then moves to the modalities.
+    (_routing) says whether const goes to the bias component ('identity') or
+    is spread equally over all of them ('uniform'). A ReLU/GELU under an
+    act_rule routes by that rule's name ('sum' or 'ratio'): const goes to the
+    bias component, whose output mass _reroute then moves to the modalities.
     """
     kind, p = layer.kind, layer.params
+    routing = _routing(kind, cfg)
     if kind == "Dense":
-        w = p["weight"]
-
-        def dense(s):
-            out = np.matmul(w, s.reshape(s.shape[0], s.shape[1], -1))
-            return out.reshape((s.shape[0], w.shape[0]) + s.shape[2:])
-
-        return dense, channel_shape(p["bias"], nd), "identity"
+        return (lambda s: dense_apply(p["weight"], s)), channel_shape(p["bias"], nd), routing
     if kind == "Conv2d":
         conv = lambda s: conv2d(s, p["weight"], None, p["stride"], p["padding"])  # noqa: E731
-        return conv, channel_shape(p["bias"], nd), "identity"
+        return conv, channel_shape(p["bias"], nd), routing
     if kind in _ACTIVATION_KINDS:
         cache = state.caches[layer.id]
-        routing = cfg.act_rule if kind in _ACT_RULE_KINDS and cfg.act_rule != "none" else "identity"
         return (lambda s: s * cache["ratio"]), cache["residual"], routing
     if kind == "BatchNorm":
         scale = channel_shape(p["gamma"] / np.sqrt(p["var"] + p["eps"]), nd)
         const = channel_shape(p["beta"], nd) - channel_shape(p["mean"], nd) * scale
-        return (lambda s: s * scale), const, cfg.bn_rule
-    if kind in _NORM_KINDS:
+        return (lambda s: s * scale), const, routing
+    if kind in ("LayerNorm", "InstanceNorm"):
         cache = state.caches[layer.id]
         gamma, beta = norm_affine(layer, nd)
         scale = gamma / np.sqrt(cache["var"] + p["eps"])
         if cfg.ln_rule == "ratio":
             # live mean: every component is centered by its own mean
             axes = tuple(ax + 1 for ax in norm_axes(layer, nd))
-            return (lambda s: (s - s.mean(axis=axes, keepdims=True)) * scale), beta, "identity"
-        return (lambda s: s * scale), beta - cache["mean"] * scale, cfg.ln_rule
+            return (lambda s: (s - s.mean(axis=axes, keepdims=True)) * scale), beta, routing
+        return (lambda s: s * scale), beta - cache["mean"] * scale, routing
     raise ValueError(f"no frozen single-input rule for kind '{kind}'")
 
 
@@ -436,8 +440,8 @@ class _Plan:
     - rules, the rules bound without recorded values (_STATIC_KINDS);
     - suffix, the layers past the row-separable prefix, in model order.
       Every frozen rule computes component r of its output from component r
-      of its inputs, except MatMul (cross terms go to bias) and the
-      _ACT_RULE_KINDS under an act_rule that re-routes bias mass; a layer is
+      of its inputs, except MatMul (cross terms go to bias) and a rule whose
+      routing ('sum' or 'ratio', see _routing) re-routes bias mass; a layer is
       separable when its rule is not one of these and all of its inputs are
       separable. Up to the first row-mixing layer, each row of a stack is
       therefore the same whatever the other rows hold;
@@ -450,7 +454,7 @@ class _Plan:
       reader is layer lid, and a layer nothing reads frees its own;
     - partial, the row-support table: lid's model.support entry (its
       modalities, and whether its bias row is live) for each stack that no
-      row-mixing rule or 'uniform' constant reaches and that misses a row;
+      row-mixing rule or 'uniform' routing reaches and that misses a row;
       only those rows of it can be non-zero, and a Dense or Conv2d rule
       reading it maps only them (see _live_rows).
 
@@ -465,8 +469,7 @@ class _Plan:
             )
         self.model, self.cfg = model, cfg
         self.rules, self.suffix, self.frontier = {}, [], set()
-        self.reroutes = cfg.act_rule != "none" and any(layer.kind in _ACT_RULE_KINDS for layer in model.layers)
-        self.partial, self._rows = {}, {}
+        self.reroutes, self.partial, self._rows = False, {}, {}
         rank, separable, last_reader = {}, set(), {}
         every_row = (frozenset(range(model.modalities)), True)
         for layer in model.layers:
@@ -474,16 +477,17 @@ class _Plan:
             rank[layer.id] = len(layer.params["shape"]) if layer.kind == "Input" else rank[layer.inputs[0]]
             if layer.kind in _STATIC_KINDS:
                 self.rules[layer.id] = _frozen_rule(layer, None, cfg, rank[layer.id])
-            mixing = layer.kind == "MatMul" or (layer.kind in _ACT_RULE_KINDS and cfg.act_rule != "none")
+            routing = _routing(layer.kind, cfg)
+            self.reroutes |= routing in ("sum", "ratio")
+            mixing = layer.kind == "MatMul" or routing in ("sum", "ratio")
             if not mixing and separable.issuperset(layer.inputs):
                 separable.add(layer.id)
             else:
                 self.suffix.append(layer)
                 self.frontier.update(separable.intersection(layer.inputs))
-            norm_rule = cfg.bn_rule if layer.kind == "BatchNorm" else cfg.ln_rule if layer.kind in _NORM_KINDS else None
             support = model.support[layer.id]
             partial = support != every_row and all(i in self.partial for i in layer.inputs)
-            if partial and not mixing and norm_rule != "uniform":
+            if partial and not mixing and routing != "uniform":
                 self.partial[layer.id] = support
             last_reader.update(dict.fromkeys(layer.inputs, layer.id))
         if model.output in separable:

@@ -26,40 +26,30 @@ __all__ = [
     "LAYER_KINDS",
 ]
 
-# per kind: (min, max) consumed inputs, None meaning unbounded, and the fields a
+# per kind: (min, max) consumed inputs, None meaning unbounded; the fields a
 # layer document must carry, in check order, each with its type: tuple (a list
 # of integers, restored to a tuple), np.ndarray (a finite numeric array) or
-# int/float (a scalar)
+# int/float (a scalar); the vectors that must share one shape (see
+# _check_vectors); and its traits: 'fusion' where modality streams meet, and
+# 'homogeneous' where it is linear in its inputs with no constant term, so that
+# nothing it computes, nor any linearization of it, is non-zero at the zero input
 _KINDS = {
-    "Input": ((0, 0), {"shape": tuple}),
-    "Dense": ((1, 1), {"weight": np.ndarray, "bias": np.ndarray}),
-    "Conv2d": ((1, 1), {"weight": np.ndarray, "bias": np.ndarray, "stride": int, "padding": int}),
-    "BatchNorm": ((1, 1), {"mean": np.ndarray, "var": np.ndarray, "gamma": np.ndarray, "beta": np.ndarray, "eps": float}),
-    "LayerNorm": ((1, 1), {"axes": tuple, "gamma": np.ndarray, "beta": np.ndarray, "eps": float}),
-    "InstanceNorm": ((1, 1), {"gamma": np.ndarray, "beta": np.ndarray, "eps": float}),
-    "ReLU": ((1, 1), {}),
-    "GELU": ((1, 1), {}),
-    "Softmax": ((1, 1), {"axis": int}),
-    "ConcatFusion": ((2, None), {"axis": int}),
-    "ResidualAdd": ((2, 2), {}),
-    "MatMul": ((2, 2), {}),
+    "Input": ((0, 0), {"shape": tuple}, (), ("homogeneous",)),
+    "Dense": ((1, 1), {"weight": np.ndarray, "bias": np.ndarray}, (), ()),
+    "Conv2d": ((1, 1), {"weight": np.ndarray, "bias": np.ndarray, "stride": int, "padding": int}, (), ()),
+    "BatchNorm": ((1, 1), {"mean": np.ndarray, "var": np.ndarray, "gamma": np.ndarray, "beta": np.ndarray, "eps": float},
+                  ("mean", "var", "gamma", "beta"), ()),
+    "LayerNorm": ((1, 1), {"axes": tuple, "gamma": np.ndarray, "beta": np.ndarray, "eps": float}, ("gamma", "beta"), ()),
+    "InstanceNorm": ((1, 1), {"gamma": np.ndarray, "beta": np.ndarray, "eps": float}, ("gamma", "beta"), ()),
+    "ReLU": ((1, 1), {}, (), ()),
+    "GELU": ((1, 1), {}, (), ()),
+    "Softmax": ((1, 1), {"axis": int}, (), ()),
+    "ConcatFusion": ((2, None), {"axis": int}, (), ("fusion", "homogeneous")),
+    "ResidualAdd": ((2, 2), {}, (), ("homogeneous",)),
+    "MatMul": ((2, 2), {}, (), ("fusion",)),
 }
 
 LAYER_KINDS = frozenset(_KINDS)
-
-# per kind, the vectors that must share one shape, which must be 1-D where the
-# entries are per channel; a shorter vector would otherwise broadcast silently
-_VECTORS = {
-    "BatchNorm": ("mean", "var", "gamma", "beta"),
-    "InstanceNorm": ("gamma", "beta"),
-    "LayerNorm": ("gamma", "beta"),
-}
-
-FUSION_KINDS = frozenset({"ConcatFusion", "MatMul"})
-
-# the kinds that are linear in their inputs with no constant term, so that nothing
-# they compute, nor any linearization of it, is non-zero at the zero input
-_HOMOGENEOUS_KINDS = frozenset({"Input", "ConcatFusion", "ResidualAdd"})
 
 
 class ModelError(ValueError):
@@ -132,7 +122,7 @@ class ModelGraph:
                 self.support[layer.id] = (frozenset({m}), False)
             else:
                 ups = [self.support[i] for i in layer.inputs]
-                constant = layer.kind not in _HOMOGENEOUS_KINDS or any(c for _, c in ups)
+                constant = "homogeneous" not in _KINDS[layer.kind][3] or any(c for _, c in ups)
                 self.support[layer.id] = (frozenset().union(*(s for s, _ in ups)), constant)
             seen.add(layer.id)
             self.by_id[layer.id] = layer
@@ -158,7 +148,7 @@ class ModelGraph:
                 raise ModelError(
                     f"input '{lid}' reaches the output without passing a fusion layer"
                 )
-            if layer.kind in FUSION_KINDS:
+            if "fusion" in _KINDS[layer.kind][3]:
                 continue
             stack.extend(layer.inputs)
 
@@ -167,14 +157,19 @@ class ModelGraph:
 
 
 def _check_vectors(layer: LayerSpec) -> None:
-    """Raise ModelError naming both fields where a layer's vectors disagree in shape (see _VECTORS)."""
+    """Raise ModelError naming both fields where a layer's vectors disagree in shape.
+
+    A Dense or Conv2d bias must be 1-D with one entry per weight row, and the
+    vectors _KINDS lists must share one shape, 1-D except LayerNorm's; a
+    shorter vector would otherwise broadcast silently.
+    """
     p, where = layer.params, f"layer '{layer.id}' ({layer.kind})"
-    if layer.kind == "Dense":
+    if layer.kind in ("Dense", "Conv2d"):
         bias, weight = np.shape(p.get("bias")), np.shape(p.get("weight"))
         if len(bias) != 1 or bias != weight[:1]:
             raise ModelError(f"{where} 'bias' shape {bias} must be 1-D with one entry per row of 'weight' {weight}")
         return
-    names = _VECTORS.get(layer.kind, ())
+    names = _KINDS[layer.kind][2]
     for key in names[1:]:
         a, b = np.shape(p.get(names[0])), np.shape(p.get(key))
         if a != b or (layer.kind != "LayerNorm" and len(a) != 1):
@@ -199,10 +194,11 @@ def channel_shape(vec: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def dense_apply(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear map over the leading feature axis, broadcast over trailing axes."""
-    if x.ndim < 1 or weight.ndim != 2 or weight.shape[1] != x.shape[0]:
-        raise ModelError(f"dense shape mismatch: weight {weight.shape}, input {x.shape}")
-    return np.tensordot(weight, x, axes=(1, 0))
+    """Linear map over the channel axis of an (S, C, ...) stack, broadcast over trailing axes."""
+    if x.ndim < 2 or weight.ndim != 2 or weight.shape[1] != x.shape[1]:
+        raise ModelError(f"dense shape mismatch: weight {weight.shape}, input {x.shape[1:]}")
+    out = np.matmul(weight, x.reshape(x.shape[0], x.shape[1], -1))
+    return out.reshape((x.shape[0], weight.shape[0]) + x.shape[2:])
 
 
 def matmul_pair(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) -> np.ndarray:
@@ -269,9 +265,7 @@ def eval_layer(layer: LayerSpec, upstream: list[np.ndarray], inputs=None) -> np.
             )
         return x
     if kind == "Dense":
-        return dense_apply(p["weight"], upstream[0]) + channel_shape(
-            p["bias"], upstream[0].ndim
-        )
+        return dense_apply(p["weight"], upstream[0][None])[0] + channel_shape(p["bias"], upstream[0].ndim)
     if kind == "Conv2d":
         return conv2d(upstream[0], p["weight"], p["bias"], p["stride"], p["padding"])
     if kind == "BatchNorm":

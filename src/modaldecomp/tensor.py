@@ -5,18 +5,18 @@ a pure function with explicit shape checks and no broadcasting beyond its
 optional per-channel bias, so that the decomposition arithmetic built on top
 stays auditable.
 
-conv2d has two kernels, chosen from one map's geometry alone. Small maps run
-per tap: each kernel offset is one product with the whole input, added
-shifted into the output, and every output element sums its offsets in kernel
-order. Large maps run in bands of output rows (im2col): a band's patches are
-lowered into one (C_in*kH*kW, rows*W_out) matrix per map, and one GEMM sums
-every (c_in, kh, kw) product of an output element. Bands are taken when one
-map's per-tap buffer (C_out*H*W float64) is at least _BAND_BYTES and one
-output row's scratch (its patches and the input rows it reads) fits in that
-buffer; a band then holds at most _BAND_BYTES of scratch per map, and at
-least one row, so it never needs more than the per-tap buffer. Neither choice
-reads the stack height and every map is its own product, so a map's result
-does not depend on the maps stacked with it.
+conv2d has two kernels, chosen from one map's geometry alone. Small maps of
+stride 1 and an output no larger than the input run per tap: each kernel
+offset is one product with the whole input, added shifted into the output,
+and every output element sums its offsets in kernel order. Every other map
+runs in bands of output rows (im2col): a band's patches are lowered into one
+(C_in*kH*kW, rows*W_out) matrix per map, and one GEMM sums every (c_in, kh,
+kw) product of an output element. Strided and enlarged-output maps always run
+on bands; the rest do when one map's per-tap buffer (C_out*H*W float64) is at
+least _BAND_BYTES and one output row's scratch (its patches and the input rows
+it reads) fits in it. A band holds at most _BAND_BYTES of scratch per map, or
+one row. Neither choice reads the stack height and every map is its own
+product, so a map's result does not depend on the maps stacked with it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ __all__ = [
 # 128 KiB per map (1,32,32,32)->16 0.34 vs 0.45, and at 64 KiB
 # (1,16,32,32)->8 0.14 vs 0.18: on small maps the patch matrix is
 # 9*C_in/C_out times the tap buffer and call overhead dominates. The same
-# bytes bound one band's scratch.
+# bytes bound one band's scratch. Strided and enlarged-output maps run on
+# bands at any size, per-tap window vs bands, best of 7: (3,4,9,9)->4 at
+# stride 2 71 vs 34 us, (3,8,16,16)->8 pad 2 170 vs 90, but a 1x1 pad 1 13 vs 35.
 _BAND_BYTES = 256 * 1024
 
 
@@ -59,14 +61,15 @@ def conv2d(
     the given stride; a non-integral output extent is an error rather than a
     silent floor.
 
-    A map whose per-tap buffer (C_out*H*W float64) is below _BAND_BYTES, or
-    too small for one output row of band scratch, runs per tap: each kernel
-    offset is one product of its weights with the whole unpadded stack, added
-    shifted into the output, so every output element sums its offsets in
-    kernel order. Any other map runs in bands of output rows: each band is
-    one GEMM of the flattened kernel with the band's (C_in*kH*kW,
-    rows*W_out) patch matrix, which sums every (c_in, kh, kw) product at
-    once; a 1x1, stride-1, unpadded kernel is one product with the input.
+    A stride-1 map whose output is no larger than its input runs per tap if
+    its per-tap buffer (C_out*H*W float64) is below _BAND_BYTES or too small
+    for one output row of band scratch: each kernel offset is one product of
+    its weights with the whole unpadded stack, added shifted into the output,
+    so every output element sums its offsets in kernel order. Any other map
+    runs in bands of output rows: each band is one GEMM of the flattened
+    kernel with the band's (C_in*kH*kW, rows*W_out) patch matrix, which sums
+    every (c_in, kh, kw) product at once; a 1x1, stride-1, unpadded kernel is
+    one product with the input.
     Both paths accumulate from +0.0, so no -0.0 is left for a bias to clear.
     The choice and the band height read one map's geometry, never S, and
     each map is its own product, so a map's result does not depend on the
@@ -97,49 +100,39 @@ def conv2d(
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
     stack = x.reshape(s, c_in, h, wd)
     tap_bytes = c_out * h * wd * x.itemsize
-    # one output row's patches and the input rows it reads bound a band's scratch per row
+    # one output row's patches and the input rows it reads bound a band's scratch per row (zero without input channels)
     row_bytes = c_in * (kh * kw * w_out + max(kh, stride) * (wd + 2 * padding)) * x.itemsize
-    if tap_bytes >= _BAND_BYTES and row_bytes <= tap_bytes:
-        out = _conv_bands(stack, w, stride, padding, h_out, w_out, max(1, _BAND_BYTES // row_bytes))
+    if stride == 1 and h_out <= h and w_out <= wd and (tap_bytes < _BAND_BYTES or row_bytes > tap_bytes):
+        out = _conv_taps(stack, w, padding, h_out, w_out)
     else:
-        out = _conv_taps(stack, w, stride, padding, h_out, w_out)
+        out = _conv_bands(stack, w, stride, padding, h_out, w_out, max(1, _BAND_BYTES // max(1, row_bytes)))
     if b is not None:
         out += b[:, None, None]
     return out if x.ndim == 4 else out[0]
 
 
-def _conv_taps(x: np.ndarray, w: np.ndarray, stride: int, padding: int, h_out: int, w_out: int) -> np.ndarray:
-    """conv2d's per-tap kernel on an (S, C_in, H, W) stack, without bias."""
+def _conv_taps(x: np.ndarray, w: np.ndarray, padding: int, h_out: int, w_out: int) -> np.ndarray:
+    """conv2d's per-tap kernel on an (S, C_in, H, W) stack at stride 1 and an output within H x W, without bias."""
     s, c_in, h, wd = x.shape
     c_out, _, kh, kw = w.shape
     src = x.reshape(s, c_in, h * wd)
     tap = np.empty((s, c_out, h, wd))  # one offset's product, on the input grid
-    # with stride 1 and an output no larger than the input, accumulate on the input's
-    # grid so each offset is one contiguous shifted add; else add a strided window
-    flat = stride == 1 and h_out <= h and w_out <= wd
-    acc = np.zeros((s, c_out) + ((h, wd) if flat else (h_out, w_out)))
+    acc = np.zeros((s, c_out, h, wd))  # so each offset is one contiguous shifted add
     # one input channel: an outer product, which beats matmul over one element
     product = np.multiply if c_in == 1 else np.matmul
     for i in range(kh):
         for j in range(kw):
             dy, dx = i - padding, j - padding
-            rows = range(max(0, -(dy // stride)), min(h_out, (h - 1 - dy) // stride + 1))
-            cols = range(max(0, -(dx // stride)), min(w_out, (wd - 1 - dx) // stride + 1))
-            if not rows or not cols:
+            if not (-h_out < dy < h and -w_out < dx < wd):  # the shift misses every output element
                 continue
             product(w[:, :, i, j], src, out=tap.reshape(s, c_out, -1))
-            if flat:
-                if dy:  # rows and columns a shift carries across a map edge are padding
-                    tap[..., slice(0, dy) if dy > 0 else slice(h + dy, h), :] = 0.0
-                if dx:
-                    tap[..., slice(0, dx) if dx > 0 else slice(wd + dx, wd)] = 0.0
-                d = dy * wd + dx
-                lo, hi = max(0, -d), min(tap.size, tap.size - d)
-                acc.reshape(-1)[lo:hi] += tap.reshape(-1)[lo + d : hi + d]
-            else:
-                r, c = rows[0] * stride + dy, cols[0] * stride + dx
-                window = tap[..., r::stride, c::stride][..., : len(rows), : len(cols)]
-                acc[..., rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] += window
+            if dy:  # rows and columns a shift carries across a map edge are padding
+                tap[..., slice(0, dy) if dy > 0 else slice(h + dy, h), :] = 0.0
+            if dx:
+                tap[..., slice(0, dx) if dx > 0 else slice(wd + dx, wd)] = 0.0
+            d = dy * wd + dx
+            lo, hi = max(0, -d), min(tap.size, tap.size - d)
+            acc.reshape(-1)[lo:hi] += tap.reshape(-1)[lo + d : hi + d]
     return np.ascontiguousarray(acc[..., :h_out, :w_out])  # copies only a larger accumulator
 
 

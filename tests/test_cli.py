@@ -662,6 +662,7 @@ class TestContractErrors:
             ("LayerNorm", "gamma", "beta"),
             ("LayerNorm", "beta", "gamma"),
             ("Dense", "bias", "weight"),
+            ("Conv2d", "bias", "weight"),
         ],
     )
     def test_vector_of_length_one_exits_2(self, files, capsys, kind, key, other):
@@ -669,10 +670,12 @@ class TestContractErrors:
         layer = next(l for l in doc["layers"] if l["kind"] == kind)
         layer[key] = 0.5  # loads as a length-1 array, which would broadcast over every channel
         (path / "short.json").write_text(json.dumps(doc))
-        argv = ["decompose", "--model", str(path / "short.json"), "--samples", str(path / "samples.json"), "--out", str(path / "x.json")]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and f"'{layer['id']}'" in err and f"'{key}'" in err and f"'{other}'" in err
+        args = ["--model", str(path / "short.json"), "--samples", str(path / "samples.json"), "--out", str(path / "x.json")]
+        metrics = ["metrics", "--stride", "1", "--offsets", "1"]
+        for command in (["decompose"], metrics, ["shapley"], ["shapley", "--hybrid"]):
+            assert cli.main([*command, *args]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"'{layer['id']}'" in err and f"'{key}'" in err and f"'{other}'" in err
 
 
 # every value a mutated field takes; no large integers, since a padding of

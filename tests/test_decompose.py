@@ -598,14 +598,19 @@ class TestSupport:
         assert rows["fuse_conv"] == {3: 3, 5: 3}
 
     @staticmethod
+    def conv_params(rng):
+        """A maker of 3x3, stride-1, padding-1 Conv2d parameters drawn from rng."""
+        return lambda c_in, c_out: {
+            "weight": rng.normal(size=(c_out, c_in, 3, 3)), "bias": rng.normal(size=c_out), "stride": 1, "padding": 1
+        }
+
+    @staticmethod
     def branchy_model():
         """Three modalities: a two-modality conv branch and a one-modality dense branch, each with a live bias
         row before its last Dense or Conv2d, and a negative BatchNorm scale and ReLUs that leave -0.0 in the
         zero rows."""
         rng = np.random.default_rng(5)
-
-        def conv(c_in, c_out):
-            return {"weight": rng.normal(size=(c_out, c_in, 3, 3)), "bias": rng.normal(size=c_out), "stride": 1, "padding": 1}
+        conv = TestSupport.conv_params(rng)
 
         def dense(c_in, c_out):
             return {"weight": rng.normal(size=(c_out, c_in)), "bias": rng.normal(size=c_out)}
@@ -664,6 +669,37 @@ class TestSupport:
         for batch, comp in zip(batches, swept):
             for lid, h in _decompose(plan, batch, state=state)[0].items():
                 assert comp[lid].tobytes() == h.tobytes(), lid
+
+    @staticmethod
+    def branch_norm_model():
+        """Two modalities, each with a norm inside its branch and a Conv2d past it: a LayerNorm on modality
+        0's, after a Conv2d, and an InstanceNorm on modality 1's raw input."""
+        rng = np.random.default_rng(8)
+        conv = TestSupport.conv_params(rng)
+        ln = {"axes": (0, 1, 2), "gamma": rng.normal(size=(3, 5, 5)), "beta": rng.normal(size=(3, 5, 5)), "eps": 1e-5}
+        inorm = {"gamma": rng.normal(size=2), "beta": rng.normal(size=2), "eps": 1e-5}
+        layers = [LayerSpec(f"in{m}", "Input", [], {"modality": m, "shape": (2, 5, 5)}) for m in range(2)] + [
+            LayerSpec("a_conv", "Conv2d", ["in0"], conv(2, 3)),
+            LayerSpec("a_ln", "LayerNorm", ["a_conv"], ln),
+            LayerSpec("a_conv2", "Conv2d", ["a_ln"], conv(3, 3)),
+            LayerSpec("b_in", "InstanceNorm", ["in1"], inorm),
+            LayerSpec("b_conv", "Conv2d", ["b_in"], conv(2, 3)),
+            LayerSpec("cat", "ConcatFusion", ["a_conv2", "b_conv"], {"axis": 0}),
+            LayerSpec("head", "Conv2d", ["cat"], conv(6, 1)),
+        ]
+        return ModelGraph(layers, "head", 2)
+
+    @pytest.mark.parametrize("label", RULES)
+    def test_norm_inside_a_branch(self, monkeypatch, label):
+        """A 'uniform' LayerNorm or InstanceNorm constant reaches every row, so no stack past it is partial."""
+        model, cfg = self.branch_norm_model(), SplitConfig.parse(label)
+        samples = [{m: np.random.default_rng(k).normal(size=(2, 5, 5)) for m in range(2)} for k in range(3)]
+        res = decompose(model, samples[0], cfg)
+        assert max(equality_residuals(model, res.components, res.state).values()) <= 1e-9
+        partial, past = _Plan(model, cfg).partial.keys(), {"a_ln", "a_conv2", "b_in", "b_conv"}
+        assert {"in0", "in1", "a_conv"} <= partial and "cat" not in partial
+        assert partial.isdisjoint(past) if cfg.ln_rule == "uniform" else past <= partial
+        self.check_table_ignored(monkeypatch, model, samples, label)
 
 
 class TestRunSweep:

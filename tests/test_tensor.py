@@ -89,6 +89,11 @@ class TestConv2d:
         for xs, o in zip(x, out):
             assert np.allclose(o, naive_conv2d(xs, w, b, 1, 1), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("stride, extent", [(1, 5), (2, 3)])
+    def test_no_input_channels_gives_bias(self, stride, extent):
+        out = conv2d(np.zeros((2, 0, 5, 5)), np.zeros((3, 0, 3, 3)), np.arange(3.0), stride, 1)
+        assert np.array_equal(out, np.broadcast_to(np.arange(3.0)[:, None, None], (2, 3, extent, extent)))
+
     @pytest.mark.parametrize("shape", [(4, 4), (2, 1, 1, 4, 4)])
     def test_rank_other_than_map_or_stack(self, shape):
         with pytest.raises(ValueError, match=r"\(S,C,H,W\).*" + re.escape(str(shape))):
@@ -128,8 +133,10 @@ class TestConv2dBands:
         w = rng.normal(size=(c_out, c_in, k, k))
         b = rng.normal(size=c_out)
         out = conv2d(x, w, b, stride, padding)
-        # a map runs on bands only if one output row's patches and input rows fit in its per-tap buffer
-        assert bool(bands) == (c_in * (k * k * out.shape[-1] + max(k, stride) * (size + 2 * padding)) <= c_out * size**2)
+        # a map runs on bands if it is strided, its output is larger than its input, or one output row's
+        # patches and input rows fit in its per-tap buffer
+        fits = c_in * (k * k * out.shape[-1] + max(k, stride) * (size + 2 * padding)) <= c_out * size**2
+        assert bool(bands) == (fits or stride > 1 or out.shape[-1] > size)
         assert out.flags.c_contiguous
         assert out.tobytes() == np.stack([conv2d(xs, w, b, stride, padding) for xs in x]).tobytes()
         for xs, o in zip(x, out):
@@ -166,4 +173,4 @@ class TestConv2dBands:
                 out = conv2d(x, w, None, stride, padding)
                 assert out.tobytes() == conv2d(x, w, np.zeros(6), stride, padding).tobytes()
         assert not np.signbit(out).any()  # a zero input with negative weights sums to +0.0
-        assert len(calls) == (12 if forced else 0)
+        assert len(calls) == (12 if forced else 8)  # unforced, only the strided and the enlarged maps take bands
