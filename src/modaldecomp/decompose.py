@@ -31,7 +31,8 @@ A modality row reads only its own rows unless a suffix layer re-routes (a
 ReLU/GELU under an act_rule): every other frozen rule maps each row alone,
 and only the bias row takes the cross-modality terms of a MatMul. So a run
 that splices rows of two reference runs has their modality rows, and only
-its bias row needs pushing (_splice_bias).
+its bias row needs pushing (_splice_bias). A zero row then stays zero, so a
+reference run whose modality rows are all zero is not built (rest=None).
 
 A sweep under a given state can carry J runs in a (J*M+1, *map) stack, row
 j*M+m holding run j's modality m and the last row a shared bias row, when
@@ -587,27 +588,28 @@ def _check_finite(layer: LayerSpec, h: np.ndarray, observe=None) -> None:
 
 
 def _splice(
-    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members
+    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray] | None, members
 ) -> dict[str, np.ndarray]:
     """The stacks of a run taking the members' rows from take and every other row from rest.
 
     take and rest hold the frontier stacks of two (M+1)-row runs, and
-    members is a set of modality indices. In the separable prefix (see
-    _Plan) each row of a stack is the same whatever the other rows hold, and
-    the bias row is the same in every run, so the frontier stacks are
-    spliced row by row and only the suffix is run again. Returns the spliced
-    frontier and the suffix stacks; the output is always among them.
+    members is a set of modality indices; rest=None stands for a run whose
+    modality rows are +0.0 and whose bias row is take's. In the separable
+    prefix (see _Plan) each row of a stack is the same whatever the other
+    rows hold, and the bias row is the same in every run, so the frontier
+    stacks are spliced row by row and only the suffix is run again. Returns
+    the spliced frontier and the suffix stacks; the output is among them.
     """
-    rows = [i in members for i in range(plan.model.modalities)] + [False]  # the bias row always comes from rest
+    rows = [i in members for i in range(plan.model.modalities)] + [rest is None]  # take's bias row only under rest=None
     comp = {}
     for lid in plan.frontier:
-        keep = np.reshape(rows, (-1,) + (1,) * (rest[lid].ndim - 1))
-        comp[lid] = np.where(keep, take[lid], rest[lid])
+        keep = np.reshape(rows, (-1,) + (1,) * (take[lid].ndim - 1))
+        comp[lid] = np.where(keep, take[lid], 0.0 if rest is None else rest[lid])
     return _propagate_layers(plan, plan.suffix, state, None, comp)
 
 
 def _splice_bias(
-    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray], members
+    plan: _Plan, state: RecordedState, take: dict[str, np.ndarray], rest: dict[str, np.ndarray] | None, members
 ) -> np.ndarray:
     """The output's bias row of _splice(plan, state, take, rest, members), pushing only bias rows.
 
@@ -617,17 +619,20 @@ def _splice_bias(
     suffix layer gets the bias row alone, as a 1-row stack, from
     _Plan.step. A MatMul's bias row is the product of its spliced operands'
     row sums less the sum of the spliced product rows, summed as lin_matmul
-    sums them (_rowsum), so its bits are kept.
+    sums them (_rowsum), so its bits are kept. Under rest=None (see _splice)
+    the zero rows are left out of those sums, which keeps the bits as well:
+    _rowsum's partial sum is never -0.0, so adding a zero row changes none.
     """
-    src = [take if i in members else rest for i in range(plan.model.modalities)]
-    bias = {lid: rest[lid][-1:] for lid in plan.frontier}
+    src = [(m, run) for m in range(plan.model.modalities) if (run := take if m in members else rest) is not None]
+    bias = {lid: (take if rest is None else rest)[lid][-1:] for lid in plan.frontier}
     for layer in plan.suffix:
         if layer.kind != "MatMul":
             bias[layer.id] = plan.step(layer, [bias[i] for i in layer.inputs], state, None, False)
             continue
-        a, b = ([*(run[i][m] for m, run in enumerate(src)), bias[i][0]] for i in layer.inputs)
+        a, b = ([*(run[i][m] for m, run in src), bias[i][0]] for i in layer.inputs)
         total = matmul_pair(_rowsum(a), _rowsum(b), layer.params.get("transpose_b", False))
-        bias[layer.id] = (total - _rowsum([run[layer.id][m] for m, run in enumerate(src)]))[None]
+        rows = [run[layer.id][m] for m, run in src]
+        bias[layer.id] = (total - _rowsum(rows) if rows else total)[None]
     return bias[plan.model.output][0]
 
 

@@ -145,19 +145,17 @@ def hybrid_shapley(
     component. The empty-coalition bias is the base, so efficiency holds by
     construction. The game costs the decomposition's own sweep, which keeps
     only the stacks that the layers past the first row-mixing one read or
-    form, and one run of the empty coalition through those layers. Unless one
-    of those re-routes bias mass (an act_rule), a coalition's modality rows
-    there are the full run's for its members and the empty run's for the
-    others, so every coalition, empty and full included, pushes only its bias
-    row through them (see decompose._splice_bias); under an act_rule each
-    coalition reruns them whole. Under a 'uniform' bn_rule or ln_rule the
-    empty run is one whole sweep of the zero input under the state; under the
-    other rules its frontier stacks are zero modality rows and the full run's
-    bias row (the prefix's bias row does not depend on the input), so they
-    are taken from the full run.
+    form. A coalition's modality rows there are the full run's for its
+    members and the empty run's for the others. The empty run's are zero, so
+    it is not built, unless a 'uniform' bn_rule or ln_rule spreads a constant
+    onto them; it is then one more whole sweep, of the zero input under the
+    state. Unless one of those layers re-routes bias mass (an act_rule),
+    every coalition, empty and full included, pushes only its bias row
+    through them (see decompose._splice_bias); under an act_rule each
+    coalition reruns them whole.
 
     method='proportional': a simpler reading that splits the bias elementwise
-    in proportion to the component magnitudes.
+    in proportion to the component magnitudes; its sweep keeps the output alone.
 
     Passing a RecordedState evaluates the given inputs against that frozen
     linearization instead of recording a fresh one, as when a replaced
@@ -169,7 +167,8 @@ def hybrid_shapley(
     if method not in ("shapley", "proportional"):
         raise ValueError(f"unknown redistribution method '{method}'")
     plan = _Plan(model, cfg)
-    full, state = _decompose(plan, [inputs], state=state, keep=plan.frontier.union(layer.id for layer in plan.suffix))
+    keep = {model.output} if method == "proportional" else plan.frontier.union(layer.id for layer in plan.suffix)
+    full, state = _decompose(plan, [inputs], state=state, keep=keep)
     out = full[model.output]
     h_bias, total = out[-1], out.sum(axis=0)
 
@@ -181,16 +180,9 @@ def hybrid_shapley(
         per = {i: out[i] + shares[i] for i in range(m)}
         return Attribution(base=base, per_modality=per, n_forwards=1, total=total)
 
-    # A coalition's run takes its members' rows from the full run and the
-    # rest from the empty run; only a 'uniform' constant puts mass in the
-    # empty run's modality rows.
-    if "uniform" in (cfg.bn_rule, cfg.ln_rule):
-        # the same stacks as the full run's
+    empty = None  # zero modality rows and the full run's bias row (see decompose._splice)
+    if "uniform" in (cfg.bn_rule, cfg.ln_rule):  # the same stacks as the full run's
         empty = _decompose(plan, [{i: np.zeros(model.input_shape(i)) for i in range(m)}], full.keys(), state)[0]
-    else:
-        empty = {lid: np.concatenate([np.zeros_like(full[lid][:-1]), full[lid][-1:]]) for lid in plan.frontier}
-        if not plan.reroutes:
-            empty = _splice(plan, state, full, empty, set())  # the empty run's suffix stacks too
     if plan.reroutes:
         bias_values, phis = _game(m, lambda members: _splice(plan, state, full, empty, members)[model.output][-1])
     else:

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,16 @@ def count_calls(monkeypatch, modules, names):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     return counts
+
+
+def peak(fn) -> int:
+    """The tracemalloc peak, in bytes, over one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import os
 import resource
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -25,7 +24,7 @@ from modaldecomp import cli
 from modaldecomp.decompose import _output_and_residuals
 from modaldecomp.heatmap import as_2d, write_component_maps
 
-from conftest import count_calls
+from conftest import count_calls, peak
 
 SMALL = ["--grid", "8", "--channels", "4", "--depth", "2"]
 
@@ -407,14 +406,6 @@ class TestStreamedReport:
         def two_passes():
             res = decompose(model, x, cfg)
             equality_residuals(model, res.components, res.state)
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
         assert peak(lambda: _output_and_residuals(model, x, cfg)) < 0.5 * peak(two_passes)
 

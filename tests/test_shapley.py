@@ -1,6 +1,5 @@
 import copy
 import sys
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,13 +20,14 @@ from modaldecomp import (
     record,
     shapley,
 )
-from modaldecomp.decompose import _Plan
+from modaldecomp.decompose import _decompose, _Plan, _splice, _splice_bias
 
 from conftest import (
     count_calls,
     every_kind_suffix_model,
     forward_shapley,
     full_propagate_hybrid,
+    peak,
     scalar_pair_model,
     small_model,
 )
@@ -144,21 +144,16 @@ def test_branch_layers_shared_across_coalitions(monkeypatch):
         # values 1.5 MiB; a coalition's values live until their last reader (1.11 MiB in all, 3.11 keeping
         # all 24 and every value of the coalition)
         (shapley, 1.5),
-        # the sweep keeps the frontier and suffix stacks, 5 rows of 64 KiB each, not all 35 (6.1 MiB against 15.3)
-        (hybrid_shapley, 8.0),
+        # the sweep keeps the frontier and suffix stacks, 5 rows of 64 KiB each, not all 35, and no empty run is
+        # built: the peak is the full sweep's own, at the fusion (3.44 MiB; 6.13 with the empty run, 15.3 keeping all)
+        (hybrid_shapley, 4.0),
     ],
 )
 def test_peak_on_the_attention_m4_model(attribute, bound_mib):
     """Only what later steps read is kept: the branch outputs in shapley, the stacks from the frontier on in the hybrid."""
     model = gen_synthetic_model(531, GenSpec(modalities=4, include_attention=True))
     x = gen_sample_set(531, model, 1)[0]
-    tracemalloc.start()
-    try:
-        attribute(model, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound_mib * 2**20
+    assert peak(lambda: attribute(model, x)) < bound_mib * 2**20
 
 
 def test_modality_guard():
@@ -206,6 +201,29 @@ class TestHybrid:
         model = small_model()
         with pytest.raises(ValueError, match="unknown redistribution method 'magic'"):
             hybrid_shapley(model, gen_sample_set(1, model, 1)[0], method="magic")
+
+    def test_proportional_sweep_keeps_only_the_output(self, monkeypatch):
+        """method='proportional' reads only the output stack; keeping every stack gives the same bits."""
+        shapley_module = sys.modules["modaldecomp.shapley"]
+        decompose_sweep, keeps = shapley_module._decompose, []
+
+        def every_stack(plan, runs, keep=None, state=None):
+            keeps.append(keep)
+            return decompose_sweep(plan, runs, None, state)
+
+        model = small_model(5, modalities=3, include_attention=True)
+        x, y = gen_sample_set(7, model, 2).samples
+        state = record(model, x)
+        for inputs, st in ((x, None), (y, state)):
+            attr = hybrid_shapley(model, inputs, state=st, method="proportional")
+            with monkeypatch.context() as patch:
+                patch.setattr(shapley_module, "_decompose", every_stack)
+                ref = hybrid_shapley(model, inputs, state=st, method="proportional")
+            assert keeps.pop() == {model.output}
+            assert attr.base.tobytes() == ref.base.tobytes() and attr.total.tobytes() == ref.total.tobytes()
+            for i in range(model.modalities):
+                assert attr.per_modality[i].tobytes() == ref.per_modality[i].tobytes()
+            assert attr.n_forwards == ref.n_forwards == 1
 
     def replacement_correlations(self, model, samples, pairs):
         """Correlation of the unperturbed modality's attribution before and
@@ -302,8 +320,8 @@ class TestCoalitionSharing:
                     assert attr.per_modality[m].tobytes() == per[m].tobytes(), label
 
     def test_one_decompose_one_prefix_sweep_and_a_splice_per_coalition(self, monkeypatch):
-        """One full sweep and one whole-stack splice (the empty coalition, read off the full run); under a 'uniform'
-        rule the empty run is a second whole sweep, of the zero input, and nothing is spliced. Every coalition then
+        """One full sweep and no whole-stack splice: the empty coalition's modality rows are zero, so it is never
+        built. Under a 'uniform' rule the empty run is a second whole sweep, of the zero input. Every coalition then
         pushes 1-row stacks through the suffix, and a given state is only read."""
         model = small_model(modalities=4, include_attention=True)
         x, y = gen_sample_set(5, model, 2).samples
@@ -318,17 +336,16 @@ class TestCoalitionSharing:
             return step(plan, layer, ups, *args)
 
         monkeypatch.setattr(_Plan, "step", counted_step)
-        # the full sweep and the empty run push 5 rows; the 16 coalitions push the bias row alone through every
-        # suffix layer but the MatMuls, whose bias rows are formed from the stored rows
-        suffix = {("attn_scores", 5): 2, ("attn_softmax", 5): 2, ("attn_out", 5): 2, ("head", 5): 2}
-        suffix.update({("attn_softmax", 1): 16, ("head", 1): 16})
-        calls = {SplitConfig(): (1, 1), SplitConfig("uniform", "ratio"): (2, 0)}
-        for cfg, (sweeps, splices) in calls.items():
+        for cfg, sweeps in ((SplitConfig(), 1), (SplitConfig("uniform", "ratio"), 2)):
+            # each sweep pushes 5 rows; the 16 coalitions push the bias row alone through every suffix layer but
+            # the MatMuls, whose bias rows are formed from the stored rows
+            suffix = {(lid, 5): sweeps for lid in ("attn_scores", "attn_softmax", "attn_out", "head")}
+            suffix.update({("attn_softmax", 1): 16, ("head", 1): 16})
             for st, inputs in ((None, x), (state, y)):
                 counts.update(dict.fromkeys(names, 0))
                 heights.clear()
                 hybrid_shapley(model, inputs, cfg, state=st)
-                assert counts == {"_decompose": sweeps, "_splice": splices, "_splice_bias": 16}
+                assert counts == {"_decompose": sweeps, "_splice": 0, "_splice_bias": 16}
                 assert {key: n for key, n in heights.items() if key[0] in {lid for lid, _ in suffix}} == suffix
         # under act_rule 'sum' a suffix ReLU re-routes bias mass, so every coalition is a whole-stack splice
         pair = small_model(modalities=2)
@@ -345,6 +362,41 @@ class TestCoalitionSharing:
         for lid, cache in state.caches.items():
             assert cache.keys() == before[lid].keys()
             assert all(cache[key] is before[lid][key] for key in cache)
+
+    @pytest.mark.parametrize(
+        "model",
+        [every_kind_suffix_model(2), every_kind_suffix_model(3), small_model(5, modalities=4, include_attention=True)],
+        ids=["every-kind-m2", "every-kind-m3", "attention-m4"],
+    )
+    def test_empty_run_left_out_keeps_the_explicit_zero_row_run(self, model):
+        """rest=None keeps the bits of an explicit empty run, signs of zero included: zero modality rows and the
+        full run's bias row at the frontier, and its suffix stacks spliced from those."""
+        m = model.modalities
+        x = gen_sample_set(11, model, 1)[0]
+        for label in ("identity-ratio", "identity-identity"):
+            plan = _Plan(model, SplitConfig.parse(label))
+            full, state = _decompose(plan, [x], keep=plan.frontier.union(layer.id for layer in plan.suffix))
+            empty = {lid: np.concatenate([np.zeros_like(full[lid][:-1]), full[lid][-1:]]) for lid in plan.frontier}
+            empty = _splice(plan, state, full, empty, set())
+            for mask in range(1 << m):
+                members = {i for i in range(m) if mask >> i & 1}
+                left_out = _splice_bias(plan, state, full, None, members)
+                assert left_out.tobytes() == _splice_bias(plan, state, full, empty, members).tobytes(), (label, mask)
+
+    @pytest.mark.parametrize("model", [every_kind_suffix_model(2), small_model(5)], ids=["every-kind", "small"])
+    def test_rerouting_splice_fills_left_out_rows_with_zeros(self, model):
+        """Under an act_rule, _splice with rest=None keeps every stack's bits of the explicit empty frontier."""
+        x = gen_sample_set(11, model, 1)[0]
+        for label in ("identity-ratio-sum", "identity-ratio-ratio"):
+            plan = _Plan(model, SplitConfig.parse(label))
+            assert plan.reroutes
+            full, state = _decompose(plan, [x], keep=plan.frontier)
+            empty = {lid: np.concatenate([np.zeros_like(full[lid][:-1]), full[lid][-1:]]) for lid in plan.frontier}
+            for members in (set(), {0}, {1}, {0, 1}):
+                left_out, explicit = _splice(plan, state, full, None, members), _splice(plan, state, full, empty, members)
+                assert left_out.keys() == explicit.keys()
+                for lid, h in explicit.items():
+                    assert left_out[lid].tobytes() == h.tobytes(), (label, members, lid)
 
     def test_frontier_of_attention_net(self):
         model = small_model(5, modalities=3, include_attention=True)
